@@ -9,15 +9,21 @@ speaking HTTP — rather than in-process like the unit suite:
 3. hit every endpoint (``/ready``, ``/health``, ``/stats``, ``/riskmap``,
    ``/plan``, ``POST /models/MFNP/reload``) and check the risk map is
    bit-identical to the direct library call;
-4. send SIGTERM and assert the graceful drain exits with code 0.
+4. sweep ``/riskmap`` over 10 more efforts on one keep-alive connection:
+   every map bit-identical to the direct call, median latency under
+   20 ms (no delayed-ACK stall), and ``/stats`` still showing the one
+   member pass the first map ran;
+5. send SIGTERM and assert the graceful drain exits with code 0.
 
 Exits 0 on success; any failure prints a diagnosis and exits 1.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -35,6 +41,8 @@ from repro.runtime.service import RiskMapService
 SEED = 0
 SCALE = 0.4
 TIMEOUT = 120.0  # whole-script watchdog, seconds
+SWEEP = [0.25 * k for k in range(1, 11)]  # efforts the keep-alive sweep asks for
+MEDIAN_LIMIT = 0.020  # seconds; a delayed-ACK stall alone costs ~40 ms
 
 
 def log(message: str) -> None:
@@ -47,6 +55,40 @@ def get(port: int, path: str, method: str = "GET"):
     )
     with urllib.request.urlopen(request, timeout=30.0) as response:
         return response.status, json.loads(response.read())
+
+
+def sweep(port: int, predictor, features) -> str | None:
+    """``None`` if every effort serves fast, bit-identical, from one pass."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30.0)
+    latencies = []
+    try:
+        for effort in SWEEP:
+            start = time.perf_counter()
+            conn.request(
+                "GET",
+                f"/riskmap?park=MFNP&effort={effort}&seed={SEED}&scale={SCALE}",
+            )
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            latencies.append(time.perf_counter() - start)
+            direct = predictor.predict_proba(features, effort=effort)
+            if response.status != 200:
+                return f"effort {effort} answered {response.status}: {body}"
+            if np.asarray(body["risk"]).tobytes() != direct.tobytes():
+                return f"effort {effort}: map differs from the direct call"
+        conn.request("GET", "/stats")
+        passes = json.loads(conn.getresponse().read())["parks"]["MFNP"][
+            "cache"]["member_passes"]
+    finally:
+        conn.close()
+    median = statistics.median(latencies)
+    log(f"sweep: {len(SWEEP)} efforts, median {median * 1000:.1f} ms, "
+        f"{passes} member pass(es)")
+    if median >= MEDIAN_LIMIT:
+        return f"median latency {median * 1000:.1f} ms >= {MEDIAN_LIMIT * 1000:.0f} ms"
+    if passes != 1:
+        return f"/stats shows {passes} member passes for MFNP, expected 1"
+    return None
 
 
 def main() -> int:
@@ -105,6 +147,12 @@ def main() -> int:
                 "served risk map is not bit-identical to the library call"
             )
             log(f"riskmap ok ({body['n_cells']} cells, bit-identical)")
+
+            problem = sweep(port, predictor, features)
+            if problem is not None:
+                log(f"FAIL: {problem}")
+                return 1
+            log("keep-alive sweep ok (bit-identical, fast, one member pass)")
 
             status, body = get(
                 port,

@@ -322,37 +322,24 @@ class IWareEnsemble:
         variances = np.stack([v for __, v in stats])
         return probs, variances
 
-    def batched_effort_response(
-        self,
-        X: np.ndarray,
-        effort_grid: np.ndarray,
-        tile_size: int | None = None,
-        n_jobs: int | None = 1,
-        backend: str = "auto",
+    def mix_grid(
+        self, probs: np.ndarray, variances: np.ndarray, effort_grid: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Risk and raw variance surfaces over a whole effort grid at once.
 
-        The per-level path re-runs every ensemble member for every effort
-        level, although member predictions do not depend on the hypothesised
-        effort at all — effort only selects which members are *qualified* to
-        vote. Here member statistics are computed once (tiled and parallel
-        when requested; see :meth:`member_statistics`) and the per-level
-        mixtures collapse to two ``(n, I) @ (I, L)`` products.
+        Member predictions do not depend on the hypothesised effort — effort
+        only selects which members are *qualified* to vote — so one
+        :meth:`member_statistics` pass serves the whole grid, and the
+        per-level mixtures collapse to two ``(n, I) @ (I, L)`` products.
 
         Returns
         -------
         (risk, raw_variance):
             Two ``(n, len(effort_grid))`` arrays matching per-level
-            ``predict_proba`` / ``predict_variance`` calls to within
-            floating-point reduction order — and matching the untiled,
-            serial batched path *exactly*, whatever the tile size, worker
-            count, or pool flavour.
+            :meth:`mix` calls to within floating-point reduction order.
         """
         assert self.weights_ is not None and self.thresholds_ is not None
         effort_grid = np.asarray(effort_grid, dtype=float)
-        probs, variances = self.member_statistics(
-            X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
-        )
         # (I, L) qualification per effort level — the same rule the
         # per-level path applies per point, evaluated once per grid level.
         mask = self._qualification(effort_grid, effort_grid.size)
@@ -389,6 +376,24 @@ class IWareEnsemble:
         denom[denom <= 0] = 1.0
         return (weighted * probs).sum(axis=0) / denom
 
+    def mix(
+        self, probs: np.ndarray, effort: np.ndarray | float | None = None
+    ) -> np.ndarray:
+        """Mix the ``(I, n)`` probabilities of one member pass at one effort.
+
+        ``effort=None`` (test time, future effort unknown) mixes the
+        *prior-corrected* probabilities of every classifier; a value/array
+        mixes the raw probabilities of the classifiers qualified at that
+        effort, which is the effort-response ``g_v(c)`` the planner consumes.
+        """
+        if effort is None:
+            assert self.subset_positive_rates_ is not None
+            assert self.full_positive_rate_ is not None
+            probs = _prior_correct(
+                probs, self.subset_positive_rates_, self.full_positive_rate_
+            )
+        return self._mix(probs, effort)
+
     def predict_proba(
         self,
         X: np.ndarray,
@@ -399,33 +404,15 @@ class IWareEnsemble:
     ) -> np.ndarray:
         """Ensemble probability of detected poaching for each row of ``X``.
 
-        Parameters
-        ----------
-        X:
-            Model inputs (static features + previous-period effort).
-        effort:
-            Patrol effort conditioning the prediction. ``None`` (test time,
-            future effort unknown) mixes *prior-corrected* probabilities
-            from every classifier; a value/array mixes the raw probabilities
-            of the classifiers qualified at that effort, which is the
-            effort-response ``g_v(c)`` the planner consumes.
-        tile_size, n_jobs, backend:
-            Serving fan-out controls (see :meth:`member_statistics`); the
-            mixed map is bit-identical for every combination.
+        One :meth:`member_statistics` pass over ``X`` (model inputs: static
+        features + previous-period effort), then :meth:`mix` at ``effort``.
+        ``tile_size`` / ``n_jobs`` / ``backend`` are the serving fan-out
+        controls; the mixed map is bit-identical for every combination.
         """
-        if effort is None:
-            return self._mix(
-                self.corrected_member_probabilities(
-                    X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
-                ),
-                None,
-            )
-        return self._mix(
-            self.member_probabilities(
-                X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
-            ),
-            effort,
+        probs, __ = self.member_statistics(
+            X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
         )
+        return self.mix(probs, effort)
 
     def predict_variance(
         self,

@@ -31,6 +31,16 @@ from repro.ml.tree import DecisionTreeClassifier
 WEAK_LEARNERS = ("svb", "dtb", "gpb")
 
 
+def check_effort_grid(effort_grid) -> np.ndarray:
+    """``effort_grid`` as floats; it must be non-empty, 1-D, nondecreasing."""
+    effort_grid = np.asarray(effort_grid, dtype=float)
+    if effort_grid.ndim != 1 or effort_grid.size == 0:
+        raise ConfigurationError("effort_grid must be a non-empty 1-D array")
+    if (np.diff(effort_grid) < 0).any():
+        raise ConfigurationError("effort_grid must be nondecreasing")
+    return effort_grid
+
+
 def make_weak_learner(
     kind: str,
     rng: np.random.Generator,
@@ -235,23 +245,15 @@ class PawsPredictor:
     ) -> np.ndarray:
         """Probability of detected poaching for each input row.
 
+        One :meth:`member_pass`, then :meth:`mix_proba` at ``effort``.
         ``tile_size`` / ``n_jobs`` / ``backend`` stream the rows through the
         ``(member x tile)`` serving fan-out; results are bit-identical to
         the serial, untiled defaults.
         """
-        from repro.runtime.parallel import predict_map
-
-        self._check_fitted()
-        if self._ensemble is not None:
-            return self._ensemble.predict_proba(
-                X, effort=effort,
-                tile_size=tile_size, n_jobs=n_jobs, backend=backend,
-            )
-        assert self._flat_model is not None
-        return predict_map(
-            [self._flat_model], X, tile_size=tile_size, n_jobs=n_jobs,
-            backend=backend, method="predict_proba",
-        )[0]
+        return self.mix_proba(
+            self.member_pass(X, tile_size=tile_size, n_jobs=n_jobs, backend=backend),
+            effort,
+        )
 
     def predict_variance(
         self,
@@ -313,6 +315,9 @@ class PawsPredictor:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Risk and squashed uncertainty across hypothetical effort levels.
 
+        One :meth:`member_pass`, then :meth:`mix_effort_response`; the
+        scaler that mix fitted becomes :attr:`uncertainty_scaler`.
+
         Parameters
         ----------
         features:
@@ -320,10 +325,10 @@ class PawsPredictor:
         effort_grid:
             Increasing effort levels (km) at which to evaluate the model.
         batched:
-            Mix all effort levels with two matrix products from one set of
-            member statistics (the serving path). ``False`` mixes level by
-            level through ``_mix`` instead — same member statistics, kept
-            as the per-level reference mixing for equivalence tests.
+            Mix all effort levels with two matrix products (the serving
+            path). ``False`` mixes level by level instead — same member
+            pass, kept as the per-level reference mixing for equivalence
+            tests.
         tile_size, n_jobs, backend:
             Serving fan-out controls: test rows stream through
             ``tile_size``-row tiles (bounding transient memory at
@@ -338,110 +343,101 @@ class PawsPredictor:
             ``nu_v(c) in [0, 1]``.
         """
         self._check_fitted()
-        effort_grid = np.asarray(effort_grid, dtype=float)
-        if effort_grid.ndim != 1 or effort_grid.size == 0:
-            raise ConfigurationError("effort_grid must be a non-empty 1-D array")
-        if (np.diff(effort_grid) < 0).any():
-            raise ConfigurationError("effort_grid must be nondecreasing")
-        if batched:
-            risk, raw_var = self._effort_surfaces_batched(
-                features, effort_grid, tile_size, n_jobs, backend
-            )
-        else:
-            risk, raw_var = self._effort_surfaces_per_level(
-                features, effort_grid, tile_size, n_jobs, backend
-            )
-        # With zero patrol effort nothing can be detected: the training data
-        # only contains patrolled points, so the model has no c=0 regime and
-        # g_v(0) must be anchored at 0 (Pr[o=1 | c=0] = 0 by construction).
-        risk[:, effort_grid == 0.0] = 0.0
-        self._uncertainty_scaler = UncertaintyScaler().fit(raw_var.ravel())
-        nu = self._uncertainty_scaler.transform(raw_var)
+        effort_grid = check_effort_grid(effort_grid)
+        risk, nu, self._uncertainty_scaler = self.mix_effort_response(
+            self.member_pass(
+                features, tile_size=tile_size, n_jobs=n_jobs, backend=backend
+            ),
+            effort_grid,
+            batched=batched,
+        )
         return risk, nu
 
-    def _member_surfaces(
+    # ------------------------------------------------------------------
+    # The two halves of every prediction: one member pass, then a mix
+    # ------------------------------------------------------------------
+    def member_pass(
         self,
         features: np.ndarray,
-        tile_size: int | None,
-        n_jobs: int | None,
-        backend: str,
+        tile_size: int | None = None,
+        n_jobs: int | None = 1,
+        backend: str = "auto",
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One tiled model pass shared by both effort-surface mixings."""
+        """``(probabilities, raw variances)`` of every member, in one pass.
+
+        ``(I, n)`` arrays from the iWare-E threshold classifiers, or
+        ``(n,)`` arrays from a flat model. The hypothesised effort only
+        decides how :meth:`mix_proba` and :meth:`mix_effort_response`
+        combine them, so one pass serves every effort level and grid.
+        """
+        self._check_fitted()
         if self._ensemble is not None:
             return self._ensemble.member_statistics(
                 features, tile_size=tile_size, n_jobs=n_jobs, backend=backend
             )
         assert self._flat_model is not None
         if isinstance(self._flat_model, BaggingClassifier):
-            proba, raw_var = self._flat_model.prediction_stats(
+            return self._flat_model.prediction_stats(
                 features, tile_size=tile_size, n_jobs=n_jobs, backend=backend
             )
-        else:
-            from repro.runtime.parallel import predict_map
+        from repro.runtime.parallel import predict_map
 
-            proba, raw_var = predict_map(
-                [self._flat_model], features,
-                tile_size=tile_size, n_jobs=n_jobs, backend=backend,
-            )[0]
-        return proba, raw_var
+        return predict_map(
+            [self._flat_model], features,
+            tile_size=tile_size, n_jobs=n_jobs, backend=backend,
+        )[0]
 
-    def _effort_surfaces_batched(
+    def mix_proba(
         self,
-        features: np.ndarray,
-        effort_grid: np.ndarray,
-        tile_size: int | None = None,
-        n_jobs: int | None = 1,
-        backend: str = "auto",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One ensemble pass for the whole grid (see ``batched_effort_response``)."""
-        if self._ensemble is not None:
-            return self._ensemble.batched_effort_response(
-                features, effort_grid,
-                tile_size=tile_size, n_jobs=n_jobs, backend=backend,
-            )
-        # Flat models ignore the hypothesised effort entirely: one
-        # prediction pass, broadcast across the grid.
-        proba, raw_var = self._member_surfaces(features, tile_size, n_jobs, backend)
-        n_levels = effort_grid.size
-        return (
-            np.repeat(proba[:, None], n_levels, axis=1),
-            np.repeat(raw_var[:, None], n_levels, axis=1),
-        )
+        member_pass: tuple[np.ndarray, np.ndarray],
+        effort: np.ndarray | float | None = None,
+    ) -> np.ndarray:
+        """The risk map at one ``effort`` (see :meth:`IWareEnsemble.mix`).
 
-    def _effort_surfaces_per_level(
-        self,
-        features: np.ndarray,
-        effort_grid: np.ndarray,
-        tile_size: int | None = None,
-        n_jobs: int | None = 1,
-        backend: str = "auto",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-level mixing over one shared member pass.
-
-        Member predictions do not depend on the hypothesised effort, so the
-        model pass runs once — through the same tiled engine as the batched
-        path — and only the qualification mixing repeats per level. Output
-        equals the historical one-full-prediction-per-level loop bit for
-        bit, at the cost of one member sweep instead of ``len(effort_grid)``.
+        Flat models ignore the hypothesised effort: their map is the pass's
+        probabilities.
         """
-        probs, raw_vars = self._member_surfaces(
-            features, tile_size, n_jobs, backend
-        )
+        self._check_fitted()
         if self._ensemble is None:
-            n_levels = effort_grid.size
-            return (
-                np.repeat(probs[:, None], n_levels, axis=1),
-                np.repeat(raw_vars[:, None], n_levels, axis=1),
+            return member_pass[0]
+        return self._ensemble.mix(member_pass[0], effort)
+
+    def mix_effort_response(
+        self,
+        member_pass: tuple[np.ndarray, np.ndarray],
+        effort_grid: np.ndarray,
+        batched: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray, UncertaintyScaler]:
+        """``(g_v(c), nu_v(c), scaler)`` over ``effort_grid`` from one pass.
+
+        Leaves the predictor untouched: the ``UncertaintyScaler`` fitted to
+        squash the raw variances is returned, not stored.
+        """
+        self._check_fitted()
+        effort_grid = check_effort_grid(effort_grid)
+        probs, raw_vars = member_pass
+        if self._ensemble is None:
+            # Flat models ignore the hypothesised effort entirely: one
+            # prediction pass, broadcast across the grid.
+            risk = np.repeat(probs[:, None], effort_grid.size, axis=1)
+            raw_var = np.repeat(raw_vars[:, None], effort_grid.size, axis=1)
+        elif batched:
+            risk, raw_var = self._ensemble.mix_grid(probs, raw_vars, effort_grid)
+        else:
+            risk = np.stack(
+                [self._ensemble._mix(probs, float(c)) for c in effort_grid],
+                axis=1,
             )
-        risk = np.stack(
-            [self._ensemble._mix(probs, float(c)) for c in effort_grid],
-            axis=1,
-        )
-        raw_var = np.stack(
-            [self._ensemble._mix(raw_vars, float(c)) for c in effort_grid],
-            axis=1,
-        )
-        return risk, raw_var
+            raw_var = np.stack(
+                [self._ensemble._mix(raw_vars, float(c)) for c in effort_grid],
+                axis=1,
+            )
+        # With zero patrol effort nothing can be detected: the training data
+        # only contains patrolled points, so the model has no c=0 regime and
+        # g_v(0) must be anchored at 0 (Pr[o=1 | c=0] = 0 by construction).
+        risk[:, effort_grid == 0.0] = 0.0
+        scaler = UncertaintyScaler().fit(raw_var.ravel())
+        return risk, scaler.transform(raw_var), scaler
 
     @property
     def uncertainty_scaler(self) -> UncertaintyScaler | None:

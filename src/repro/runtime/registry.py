@@ -35,6 +35,7 @@ state mutates under ``self._lock`` (the ``@thread_shared`` contract).
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -107,6 +108,7 @@ class ParkEntry:
         self._contexts: OrderedDict[tuple[int, float], _ParkContext] = (
             OrderedDict()
         )
+        self._installs = itertools.count(1)
 
     # ------------------------------------------------------------------
     # Contexts
@@ -118,24 +120,35 @@ class ParkEntry:
         benchmarks call it directly to reuse an already-generated park
         instead of paying ``generate_dataset`` again (the arrays are
         deterministic in ``(profile, seed)``, so the served results are
-        identical either way).
+        identical either way). A context evicted beyond
+        :attr:`MAX_CONTEXTS`, or built by an install that lost a race, is
+        unregistered from the service, member pass and all; each install
+        registers under its own token, so this never touches a live one.
         """
         key = (int(seed), float(scale))
-        features = self.service.predictor.cell_feature_matrix(
-            data.park, data.recorded_effort[-1]
+        features = np.asarray(  # the very array registered, so queries key by it
+            self.service.predictor.cell_feature_matrix(
+                data.park, data.recorded_effort[-1]
+            ),
+            dtype=float,
         )
         token = self.service.register_features(
-            f"{self.name}/seed={key[0]}/scale={key[1]}", features
+            f"{self.name}/seed={key[0]}/scale={key[1]}/{next(self._installs)}",
+            features,
         )
         context = _ParkContext(key[0], key[1], data, features, token)
+        stale = []
         with self._lock:
             incumbent = self._contexts.get(key)
             if incumbent is not None:
-                return incumbent
-            self._contexts[key] = context
-            if len(self._contexts) > self.MAX_CONTEXTS:
-                self._contexts.popitem(last=False)
-        return context
+                stale.append(context)
+            else:
+                self._contexts[key] = context
+                while len(self._contexts) > self.MAX_CONTEXTS:
+                    stale.append(self._contexts.popitem(last=False)[1])
+        for old in stale:
+            self.service.unregister_features(old.token)
+        return context if incumbent is None else incumbent
 
     def context(self, seed: int = 0, scale: float = 1.0) -> _ParkContext:
         """The (cached) serving context for one ``(seed, scale)`` view."""
@@ -217,7 +230,7 @@ class ParkEntry:
         context = self.context(seed, scale)
         return self._dispatch(
             lambda backend: self.service.risk_map(
-                context.token, effort=effort, deadline=deadline,
+                context.features, effort=effort, deadline=deadline,
                 backend=backend,
             )
         )
@@ -239,11 +252,11 @@ class ParkEntry:
             # sees the prediction fan-outs a cache miss triggers.
             if post is not None:
                 plan = plan_service.plan_post(
-                    int(post), context.token, beta=beta, deadline=deadline
+                    int(post), context.features, beta=beta, deadline=deadline
                 )
                 return {int(post): plan}
             return plan_service.plan_all(
-                context.token, beta=beta, deadline=deadline
+                context.features, beta=beta, deadline=deadline
             )
 
         return self._dispatch(compute)

@@ -14,10 +14,15 @@ fitted :class:`~repro.core.predictor.PawsPredictor` with
   serial, untiled path at any setting),
 * an **LRU result cache** keyed on the request arrays, so repeated queries
   (the common case: same park features, same planner breakpoints) cost a
-  dictionary lookup, and
+  dictionary lookup,
 * **feature registration**: parks whose feature matrix is served over and
   over register it once (:meth:`register_features`), paying the SHA-256
-  content hash at registration instead of on every query.
+  content hash at registration instead of on every query, and
+* a **member-pass memo** per registration: the effort-independent model
+  pass (:meth:`~repro.core.predictor.PawsPredictor.member_pass`) runs on
+  the registration's first cache miss, and every later miss — any effort,
+  any grid — is only a mix over it, through the same functions as the
+  direct ``predict_proba`` / ``effort_response`` calls.
 
 Combined with model persistence, this is the "serve without refit" workload::
 
@@ -36,7 +41,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.core.predictor import PawsPredictor
+from repro.core.predictor import PawsPredictor, check_effort_grid
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.runtime.concurrency import thread_shared
 from repro.runtime.parallel import check_backend, resolve_n_jobs
@@ -55,11 +60,7 @@ class RiskMapService:
     threads concurrently (the park-service daemon's deployment shape).
     Cache and registry mutations happen under ``self._lock``; reads are
     lock-free; concurrent misses on one key each compute the bit-identical
-    result and the first insertion wins. One caveat inherited from the
-    predictor API: ``effort_response`` restores the predictor's
-    ``uncertainty_scaler`` alongside each result, and that attribute lives
-    on the (shared) predictor — concurrent queries over *different*
-    feature sets leave it matching whichever query finished last.
+    result and the first insertion wins.
 
     Parameters
     ----------
@@ -67,7 +68,7 @@ class RiskMapService:
         A fitted :class:`~repro.core.predictor.PawsPredictor`.
     max_entries:
         LRU capacity; each entry holds one query's result arrays. Zero
-        disables caching.
+        disables caching, member-pass memo included.
     tile_size:
         Rows per prediction tile (``None`` = untiled). Bounds the serving
         path's transient memory at ``O(n_train x tile_size)`` per in-flight
@@ -121,8 +122,11 @@ class RiskMapService:
         self._registered: dict[str, tuple[np.ndarray, str]] = {}
         #: id(array) -> name, so passing the registered object skips hashing.
         self._registered_ids: dict[int, str] = {}
+        #: name -> (array, member pass): 2 x I x n_cells floats per entry.
+        self._passes: dict[str, tuple[np.ndarray, tuple]] = {}
         self._hits = 0
         self._misses = 0
+        self._member_passes = 0
         #: Accumulated fan-out survival counters (the daemon's /stats feed).
         self._resilience = ResilienceStats()
 
@@ -183,34 +187,48 @@ class RiskMapService:
         :meth:`register_features` again (same name) to re-hash.
 
         Registering a new array under an existing name replaces the
-        registration; cached results of the old array are keyed by its old
-        digest and simply age out of the LRU.
+        registration and drops its member pass; cached results of the old
+        array are keyed by its old digest and simply age out of the LRU.
         """
         features = np.asarray(features, dtype=float)
         digest = self._array_digest(features)  # hash outside the lock
         with self._lock:
-            previous = self._registered.get(name)
-            if previous is not None:
-                self._registered_ids.pop(id(previous[0]), None)
+            self.unregister_features(name)
             self._registered[name] = (features, digest)
             self._registered_ids[id(features)] = name
         return name
 
-    def _resolve_features(self, features) -> tuple[np.ndarray, str]:
-        """``(array, cache-key part)`` for a token, registered, or ad-hoc query."""
+    def unregister_features(self, name: str) -> None:
+        """Drop a registration: its array, id mapping and member pass.
+
+        Its cached results age out of the LRU; the token stops resolving,
+        while the array itself still serves, content-hashed like any
+        unregistered one. Unknown names are ignored.
+        """
+        with self._lock:
+            previous = self._registered.pop(name, None)
+            if previous is not None and (
+                self._registered_ids.get(id(previous[0])) == name
+            ):
+                del self._registered_ids[id(previous[0])]
+            self._passes.pop(name, None)
+
+    def _resolve_features(self, features) -> tuple[np.ndarray, str, str | None]:
+        """``(array, cache-key part, registered name)`` of one query's features."""
         if isinstance(features, str):
-            if features not in self._registered:
+            registered = self._registered.get(features)
+            if registered is None:
                 raise ConfigurationError(
                     f"no features registered under '{features}' "
                     "(call register_features first)"
                 )
-            array, digest = self._registered[features]
-            return array, f"token/{features}/{digest}"
+            return registered[0], f"token/{features}/{registered[1]}", features
         array = np.asarray(features, dtype=float)
         name = self._registered_ids.get(id(array))
-        if name is not None and self._registered[name][0] is array:
-            return array, f"token/{name}/{self._registered[name][1]}"
-        return array, self._array_digest(array)
+        registered = self._registered.get(name)
+        if registered is not None and registered[0] is array:
+            return array, f"token/{name}/{registered[1]}", name
+        return array, self._array_digest(array), None
 
     # ------------------------------------------------------------------
     # Cached queries
@@ -266,6 +284,35 @@ class RiskMapService:
         with self._lock:
             self._resilience.merge(stats)
 
+    def _member_pass(self, name, array: np.ndarray, backend: str, deadline):
+        """The registration's memoized member pass, or one run now.
+
+        A pass runs outside the lock, under the request's deadline and
+        stats sink; the first one stored for a registration wins, and an
+        overrun stores nothing. Unregistered arrays, and every array while
+        caching is off, get a fresh pass per cache miss.
+        """
+        memo = self._passes.get(name)
+        if memo is not None and memo[0] is array:
+            return memo[1]
+        with deadline_scope(deadline), collect_stats() as stats:
+            try:
+                member_pass = self.predictor.member_pass(
+                    array, tile_size=self.tile_size, n_jobs=self.n_jobs,
+                    backend=backend,
+                )
+            finally:
+                self._absorb(stats)
+        with self._lock:
+            self._member_passes += 1
+            registered = self._registered.get(name)
+            if self.max_entries and registered and registered[0] is array:
+                memo = self._passes.get(name)  # the incumbent wins
+                if memo is None:
+                    memo = self._passes[name] = (array, member_pass)
+                member_pass = memo[1]
+        return member_pass
+
     def effort_response(
         self,
         features,
@@ -277,36 +324,31 @@ class RiskMapService:
 
         ``features`` is a matrix, a registered array, or a token from
         :meth:`register_features`. Returns copies, so callers may mutate the
-        results freely without poisoning the cache. The predictor's
-        ``uncertainty_scaler`` is cached with each result and restored on
-        hits, so it always matches the surfaces just returned — exactly as
-        if the query had been recomputed.
+        results freely without poisoning the cache. The scaler that
+        squashed the surfaces is cached with them and set as the
+        predictor's ``uncertainty_scaler`` on every return, hit or miss —
+        exactly as if the query had been recomputed.
 
-        ``deadline`` bounds the compute on a cache miss (seconds, or a
-        shared :class:`~repro.runtime.resilience.Deadline`); an overrun
+        ``deadline`` bounds the member pass a cache miss may run (seconds,
+        or a shared :class:`~repro.runtime.resilience.Deadline`); an overrun
         raises :class:`~repro.exceptions.DeadlineExceededError` and caches
-        nothing. Hits return immediately regardless.
+        nothing. Hits, and misses mixed from the memoized pass, return
+        regardless.
 
         ``backend`` overrides the service's pool flavour for this one query
         (the daemon's degraded-dispatch path). Results are bit-identical
         across backends, so the cache key is unchanged.
         """
-        array, feature_key = self._resolve_features(features)
-        effort_grid = np.asarray(effort_grid, dtype=float)
+        array, feature_key, name = self._resolve_features(features)
+        effort_grid = check_effort_grid(effort_grid)
         key = self._key("effort_response", feature_key, effort_grid)
         chosen_backend = self.backend if backend is None else check_backend(backend)
 
         def compute():
-            with deadline_scope(deadline), collect_stats() as stats:
-                try:
-                    risk, nu = self.predictor.effort_response(
-                        array, effort_grid,
-                        tile_size=self.tile_size, n_jobs=self.n_jobs,
-                        backend=chosen_backend,
-                    )
-                finally:
-                    self._absorb(stats)
-            return risk, nu, self.predictor.uncertainty_scaler
+            return self.predictor.mix_effort_response(
+                self._member_pass(name, array, chosen_backend, deadline),
+                effort_grid,
+            )
 
         risk, nu, scaler = self._cached(key, compute)
         self.predictor._uncertainty_scaler = scaler
@@ -324,25 +366,21 @@ class RiskMapService:
         ``effort=None`` gives the unconditional (prior-corrected) map; a
         value conditions on that hypothetical patrol effort, as in the
         Fig. 6 risk maps. ``features`` may be a token, as in
-        :meth:`effort_response`; ``deadline`` bounds a cache-miss compute
-        and ``backend`` overrides the pool flavour the same way.
+        :meth:`effort_response`; ``deadline`` bounds a cache miss's member
+        pass and ``backend`` overrides the pool flavour the same way.
         """
-        array, feature_key = self._resolve_features(features)
+        array, feature_key, name = self._resolve_features(features)
         effort_tag = "none" if effort is None else repr(float(effort))
         key = self._key(f"risk_map/{effort_tag}", feature_key)
         chosen_backend = self.backend if backend is None else check_backend(backend)
 
         def compute():
-            with deadline_scope(deadline), collect_stats() as stats:
-                try:
-                    risk = self.predictor.predict_proba(
-                        array, effort=effort,
-                        tile_size=self.tile_size, n_jobs=self.n_jobs,
-                        backend=chosen_backend,
-                    )
-                finally:
-                    self._absorb(stats)
-            return (risk,)
+            return (
+                self.predictor.mix_proba(
+                    self._member_pass(name, array, chosen_backend, deadline),
+                    effort,
+                ),
+            )
 
         (risk,) = self._cached(key, compute)
         return risk.copy()
@@ -351,12 +389,13 @@ class RiskMapService:
     # Cache introspection
     # ------------------------------------------------------------------
     def cache_info(self) -> dict[str, int]:
-        """Hit/miss/size counters (for logs and benchmarks)."""
+        """Hit/miss/size counters and member passes run (logs, ``/stats``)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "entries": len(self._cache),
             "max_entries": self.max_entries,
+            "member_passes": self._member_passes,
         }
 
     def resilience_info(self) -> dict:
@@ -370,6 +409,7 @@ class RiskMapService:
             return self._resilience.as_dict()
 
     def clear_cache(self) -> None:
-        """Drop every cached result (counters are kept)."""
+        """Drop every cached result and member pass (counters are kept)."""
         with self._lock:
             self._cache.clear()
+            self._passes.clear()

@@ -7,8 +7,11 @@ contracts and the unit semantics of each new runtime piece.
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -330,6 +333,49 @@ class TestModelRegistry:
         assert registry.loaded() == ["QENP"]
         assert registry.info()["evictions"] == 1
 
+    def test_evicted_contexts_are_unregistered(self, models_dir, park):
+        entry = ModelRegistry(models_dir, n_jobs=1).entry("MFNP")
+        n_seeds = entry.MAX_CONTEXTS + 3
+        for seed in range(n_seeds):
+            entry.install_context(seed, SCALE, park)
+            entry.risk_map(effort=1.5, seed=seed, scale=SCALE)
+        service = entry.service
+        assert entry.stats()["contexts"] == entry.MAX_CONTEXTS
+        assert len(service._registered) == entry.MAX_CONTEXTS
+        assert len(service._passes) == entry.MAX_CONTEXTS
+        assert service.cache_info()["member_passes"] == n_seeds
+
+    def test_reload_serves_the_new_models_bits(self, park, tmp_path):
+        root = tmp_path / "models"
+        split = park.dataset.split_by_test_year(4)
+        models = [
+            PawsPredictor(
+                model="dtb", iware=True, n_classifiers=2, n_estimators=2,
+                seed=seed,
+            ).fit(split.train)
+            for seed in (5, 6)
+        ]
+        features = models[0].cell_feature_matrix(
+            park.park, park.recorded_effort[-1]
+        )
+        models[0].save(root / "MFNP")
+        registry = ModelRegistry(root, n_jobs=1)
+        before = registry.entry("MFNP")
+        before.install_context(SEED, SCALE, park)
+        for effort in (0.5, 1.5):  # the second is served from the memo
+            np.testing.assert_array_equal(
+                before.risk_map(effort=effort, seed=SEED, scale=SCALE),
+                models[0].predict_proba(features, effort=effort),
+            )
+        models[1].save(root / "MFNP")
+        after = registry.reload("MFNP")
+        new_bits = models[1].predict_proba(features, effort=1.5)
+        old_bits = models[0].predict_proba(features, effort=1.5)
+        assert not np.array_equal(new_bits, old_bits)
+        np.testing.assert_array_equal(
+            after.risk_map(effort=1.5, seed=SEED, scale=SCALE), new_bits
+        )
+
     def test_repeated_load_failures_trip_the_load_breaker(self, tmp_path):
         root = tmp_path / "models"
         bad = root / "MFNP"
@@ -375,6 +421,40 @@ class TestDaemonHTTP:
         )
         # json round-trips float64 via repr: served == computed, bit for bit
         np.testing.assert_array_equal(np.array(body["risk"]), direct)
+
+    def test_every_effort_is_served_from_one_member_pass(self, daemon, park):
+        entry = daemon.registry.entry("MFNP")
+        features = entry.context(SEED, SCALE).features
+        for effort in (0.5, 1.0, 2.5):
+            status, body = http_get(
+                daemon,
+                f"/riskmap?park=MFNP&seed={SEED}&scale={SCALE}&effort={effort}",
+            )
+            assert status == 200
+            direct = entry.service.predictor.predict_proba(features, effort=effort)
+            assert np.array(body["risk"]).tobytes() == direct.tobytes()
+        status, body = http_get(daemon, "/stats")
+        assert body["parks"]["MFNP"]["cache"]["member_passes"] == 1
+
+    def test_keep_alive_responses_do_not_wait_for_delayed_acks(self, daemon):
+        """Headers and body leave in two writes: TCP_NODELAY must be on."""
+        path = f"/riskmap?park=MFNP&seed={SEED}&scale={SCALE}&effort=1.5"
+        conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=30)
+        try:
+            conn.request("GET", path)  # warm-up: loads, builds, caches
+            assert conn.getresponse().read()
+            latencies = []
+            for __ in range(10):
+                start = time.perf_counter()
+                conn.request("GET", path)
+                response = conn.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            conn.close()
+        # ~40 ms per response with Nagle's algorithm on, ~1 ms without
+        assert statistics.median(latencies) < 0.020, latencies
 
     def test_plan_serves_routes_and_objective(self, daemon, park):
         post = int(park.park.patrol_posts[0])
