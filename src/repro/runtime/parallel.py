@@ -58,7 +58,9 @@ Worker counts are clamped to the CPUs actually available to this process
 (cgroup/affinity aware): oversubscribing a small container with more workers
 than cores only adds pool overhead, so ``n_jobs=8`` on a 2-core box runs 2
 workers — and on a single core every backend degrades to the plain serial
-loop, keeping "parallel" never slower than serial.
+loop, keeping "parallel" never slower than serial. Process workers are not
+started per fan-out either: every process fan-out borrows the one warm pool
+kept by :mod:`repro.runtime.resilience`.
 """
 
 from __future__ import annotations

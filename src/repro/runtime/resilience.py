@@ -31,6 +31,13 @@ wrong, only slow" contract to the runtime:
   fan-out folds a :class:`ResilienceStats` into the sinks installed with
   :func:`collect_stats`, which is how ``RiskMapService`` / ``PlanService``
   accumulate per-service counters for the future daemon's ``/stats``.
+* **One warm process pool.** Starting a process pool costs a fork per
+  worker and a join at shutdown, 15-25 ms on a 2-core host: as much as a
+  small DTB ensemble fit gains by fanning out. Process fan-outs therefore
+  borrow one shared pool (:class:`_ProcessPools`) instead of each starting
+  their own; a pool that a fan-out leaves unhealthy (a dead worker, or
+  stragglers abandoned at a deadline) is retired, and a retry borrows a
+  fresh one. Thread pools stay per-attempt: they start in microseconds.
 
 Faults are injected — deterministically, for the chaos suite — through the
 hooks of :mod:`repro.runtime.faults`; every hook is a no-op in production.
@@ -38,6 +45,7 @@ hooks of :mod:`repro.runtime.faults`; every hook is a no-op in production.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections.abc import Callable, Sequence
@@ -58,14 +66,13 @@ from repro.exceptions import (
     WorkerCrashError,
 )
 from repro.runtime import faults
+from repro.runtime.concurrency import thread_shared
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: Degradation order; a fan-out starts at its backend's rung and falls right.
 LADDER = ("process", "thread", "serial")
-
-_POOLS = {"process": ProcessPoolExecutor, "thread": ThreadPoolExecutor}
 
 _MISSING = object()
 
@@ -259,6 +266,91 @@ def record_stats(stats: ResilienceStats) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The warm process pool
+# ---------------------------------------------------------------------------
+def _exit_with_owner(owner: int) -> None:
+    """Pool-worker initializer: exit once the process that owns the pool dies.
+
+    A warm worker outlives the fan-outs it serves, so an owner killed
+    before it shuts the pool down (SIGKILL, ``os._exit``) would leave the
+    worker blocked on its call queue for good. A daemon thread watches for
+    the re-parenting that follows the owner's death.
+    """
+
+    def watch() -> None:
+        while os.getppid() == owner:
+            time.sleep(0.5)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="owner-watch", daemon=True).start()
+
+
+@thread_shared
+class _ProcessPools:
+    """The process pool that successive fan-outs borrow and give back.
+
+    The current pool is keyed by worker count and the fault-plan variable
+    (workers read the plan from the environment they were forked with).
+    Borrowing under another key, or giving a pool back unhealthy, retires
+    the current pool; a retired pool shuts down once its last borrower
+    gives it back, so no fan-out loses a pool under its feet.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._key: tuple | None = None
+        self._pool: ProcessPoolExecutor | None = None
+        #: Pool -> fan-outs holding it; a pool nobody holds has no entry.
+        self._borrowers: dict[ProcessPoolExecutor, int] = {}
+
+    def borrow(self, workers: int) -> ProcessPoolExecutor:
+        key = (workers, os.environ.get(faults.ENV_VAR))
+        stale = None
+        with self._lock:
+            if self._pool is None or self._key != key:
+                if self._pool not in self._borrowers:
+                    stale = self._pool  # idle: shut it down now
+                self._pool = ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_exit_with_owner,
+                    initargs=(os.getpid(),),
+                )
+                self._key = key
+            pool = self._pool
+            self._borrowers[pool] = self._borrowers.get(pool, 0) + 1
+        if stale is not None:
+            stale.shutdown(wait=False)
+        return pool
+
+    def give_back(
+        self, pool: ProcessPoolExecutor, healthy: bool, wait: bool
+    ) -> None:
+        with self._lock:
+            if not healthy and pool is self._pool:
+                self._pool = None
+                self._key = None
+            left = self._borrowers.pop(pool) - 1
+            if left:
+                self._borrowers[pool] = left
+            if left or pool is self._pool:
+                return
+        pool.shutdown(wait=wait)
+
+
+_process_pools = _ProcessPools()
+
+
+def _forget_parent_pools() -> None:
+    # A forked child inherits the parent's pool objects (and possibly a
+    # held lock) but not its workers: start from an empty registry.
+    global _process_pools
+    _process_pools = _ProcessPools()
+
+
+os.register_at_fork(after_in_child=_forget_parent_pools)
+
+
+# ---------------------------------------------------------------------------
 # The supervisor
 # ---------------------------------------------------------------------------
 def _guarded(fn, item, index: int):
@@ -267,8 +359,17 @@ def _guarded(fn, item, index: int):
     return fn(item)
 
 
+@dataclass
+class _Pass:
+    """What one pool pass saw, for the code that releases its pool."""
+
+    crashed: bool = False
+    abandoned: bool = False
+    settled: bool = False
+
+
 def _pooled_attempt(
-    pool_cls,
+    rung: str,
     fn,
     items: Sequence,
     indices: Sequence[int],
@@ -277,34 +378,66 @@ def _pooled_attempt(
     results: list,
     label: str,
 ) -> bool:
-    """One executor lifetime over the missing tasks; fills ``results``.
+    """One pass of a pool over the missing tasks; fills ``results``.
 
-    Returns ``True`` when the pool infrastructure broke (a worker died) and
-    some tasks are still missing — the supervisor's cue to retry them.
-    Task-raised exceptions and deadline expiry propagate unchanged.
+    A thread rung starts and shuts down its own pool. A process rung
+    borrows the warm pool and gives it back, retiring it unless every task
+    of the pass settled on live workers. Returns ``True`` when the pool
+    infrastructure broke (a worker died) and some tasks are still missing —
+    the supervisor's cue to retry them. Task-raised exceptions and deadline
+    expiry propagate unchanged.
     """
-    crashed = False
-    abandoned = False
+    seen = _Pass()
+    if rung == "thread":
+        pool = ThreadPoolExecutor(max_workers=min(workers, len(indices)))
+        try:
+            return _run_pass(
+                pool, seen, fn, items, indices, deadline, results, label
+            )
+        finally:
+            pool.shutdown(wait=not seen.abandoned, cancel_futures=True)
+    shared = _process_pools.borrow(workers)
+    try:
+        return _run_pass(
+            shared, seen, fn, items, indices, deadline, results, label
+        )
+    finally:
+        _process_pools.give_back(
+            shared, healthy=seen.settled and not seen.crashed,
+            wait=not seen.abandoned,
+        )
+
+
+def _run_pass(
+    pool,
+    seen: _Pass,
+    fn,
+    items: Sequence,
+    indices: Sequence[int],
+    deadline: Deadline | None,
+    results: list,
+    label: str,
+) -> bool:
+    """Submit ``indices`` to ``pool`` and collect them (see above)."""
     task_error: BaseException | None = None
-    pool = pool_cls(max_workers=min(workers, len(indices)))
     futures: dict = {}
     try:
         try:
             for i in indices:
                 futures[pool.submit(_guarded, fn, items[i], i)] = i
         except BrokenExecutor:
-            crashed = True  # broke mid-submission; drain what was queued
+            seen.crashed = True  # broke mid-submission; drain what was queued
         pending = set(futures)
         while pending:
             if deadline is not None and deadline.expired():
-                abandoned = True
+                seen.abandoned = True
                 deadline.check(label)
             timeout = None if deadline is None else max(0.0, deadline.remaining())
             done, pending = futures_wait(
                 pending, timeout=timeout, return_when=FIRST_COMPLETED
             )
             if not done and deadline is not None and deadline.expired():
-                abandoned = True
+                seen.abandoned = True
                 deadline.check(label)
             for future in done:
                 if future.cancelled():
@@ -313,7 +446,7 @@ def _pooled_attempt(
                 if error is None:
                     results[futures[future]] = future.result()
                 elif isinstance(error, BrokenExecutor):
-                    crashed = True
+                    seen.crashed = True
                 elif task_error is None:
                     # First task-raised error: stop the fan-out, but DRAIN
                     # the remaining futures before raising — shutting an
@@ -325,14 +458,17 @@ def _pooled_attempt(
                     task_error = error
                     for undone in pending:
                         undone.cancel()
+        seen.settled = True
         if task_error is not None:
             raise task_error
-        return crashed
-    finally:
-        # On abandonment (deadline, task error) unstarted tasks are
-        # cancelled and running ones are left to finish in the background —
-        # native code cannot be interrupted mid-flight.
-        pool.shutdown(wait=not abandoned, cancel_futures=True)
+        return seen.crashed
+    except BaseException:
+        # An abandoned pass (deadline) cancels its unstarted tasks and
+        # leaves running ones to finish in the background — native code
+        # cannot be interrupted mid-flight.
+        for future in futures:
+            future.cancel()
+        raise
 
 
 def supervised_map(
@@ -386,8 +522,8 @@ def supervised_map(
                 if deadline is not None:
                     deadline.check(label)
                 crashed = _pooled_attempt(
-                    _POOLS[rung], fn, items, missing, workers, deadline,
-                    results, label,
+                    rung, fn, items, missing, workers, deadline, results,
+                    label,
                 )
                 missing = [i for i in missing if results[i] is _MISSING]
                 if not missing:

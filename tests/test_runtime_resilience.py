@@ -8,6 +8,10 @@ chaos suite (``tests/test_chaos.py``).
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
+import sys
 import threading
 import time
 
@@ -18,6 +22,8 @@ from repro.exceptions import (
     DataError,
     DeadlineExceededError,
 )
+from repro.runtime import faults, resilience
+from repro.runtime.faults import FaultPlan
 from repro.runtime.resilience import (
     Deadline,
     ResilienceStats,
@@ -217,3 +223,129 @@ class TestSupervisedMap:
         assert stats.fanouts == 1 and stats.tasks == 7
         assert stats.backends == {"thread": 1}
         assert stats.worker_deaths == 0 and stats.retries == 0
+
+
+# ---------------------------------------------------------------------------
+# The warm process pool
+# ---------------------------------------------------------------------------
+def _pid(_item):
+    return os.getpid()
+
+
+def _nap_pid(seconds):
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def _live_workers() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+class TestWarmProcessPool:
+    def test_successive_fanouts_share_the_workers(self):
+        first = supervised_map(_pid, range(6), workers=2, backend="process")
+        pool = _live_workers()
+        second = supervised_map(_pid, range(6), workers=2, backend="process")
+        assert os.getpid() not in first
+        assert set(first) | set(second) <= pool
+        assert not _live_workers() - pool  # no worker was started for it
+
+    def test_a_crash_retires_the_pool(self, tmp_path):
+        plan = FaultPlan(scratch=str(tmp_path), crash_once=(1,))
+        with faults.active(plan):
+            with collect_stats() as crashed:
+                got = supervised_map(
+                    _square, range(4), workers=2, backend="process"
+                )
+            with collect_stats() as after:
+                again = supervised_map(
+                    _square, range(4), workers=2, backend="process"
+                )
+        assert got == again == [x * x for x in range(4)]
+        assert crashed.worker_deaths >= 1
+        # a broken pool kept warm would fail the next submit
+        assert after.worker_deaths == 0 and after.retries == 0
+
+    def test_an_abandoned_pass_retires_the_pool(self):
+        supervised_map(_pid, range(2), workers=2, backend="process")
+        busy = _live_workers()
+        with pytest.raises(DeadlineExceededError):
+            supervised_map(
+                _nap_pid, [1.0, 1.0], workers=2, backend="process",
+                deadline=0.2,
+            )
+        # the stragglers keep their workers; the next fan-out gets new ones
+        fresh = supervised_map(_pid, range(2), workers=2, backend="process")
+        assert not set(fresh) & busy
+
+    def test_concurrent_fanouts_across_pool_changes(self):
+        errors: list[BaseException] = []
+
+        def hammer(workers: int) -> None:
+            try:
+                for __ in range(3):
+                    got = supervised_map(
+                        _square, range(6), workers=workers,
+                        backend="process",
+                    )
+                    assert got == [x * x for x in range(6)]
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        # alternating worker counts retire the pool under other borrowers
+        threads = [
+            threading.Thread(target=hammer, args=(2 + i % 2,))
+            for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # a lost borrow/give-back update would leave a count behind
+        assert resilience._process_pools._borrowers == {}
+
+    def test_forked_child_starts_its_own_pool(self):
+        supervised_map(_pid, range(2), workers=2, backend="process")
+        read_end, write_end = os.pipe()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                os.close(read_end)
+                got = supervised_map(
+                    _pid, range(4), workers=2, backend="process"
+                )
+                os.write(write_end, json.dumps(sorted(set(got))).encode())
+                code = 0
+            finally:
+                # no interpreter exit, so nothing shuts the pool down
+                os._exit(code)
+        os.close(write_end)
+        __, status = os.waitpid(child, 0)
+        # one read, not read-to-EOF: the child's workers inherited the pipe
+        orphans = json.loads(os.read(read_end, 4096) or b"[]")
+        os.close(read_end)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert orphans and child not in orphans
+        # the child's workers notice their owner is gone and exit
+        deadline = time.monotonic() + 10.0
+        while any(_running(pid) for pid in orphans):
+            assert time.monotonic() < deadline, (
+                f"workers {orphans} outlived their owner"
+            )
+            time.sleep(0.1)
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(") ", 1)[1][0] != "Z"
+    except (OSError, IndexError):
+        return False
