@@ -10,9 +10,8 @@ speaking HTTP — rather than in-process like the unit suite:
    ``/plan``, ``POST /models/MFNP/reload``) and check the risk map is
    bit-identical to the direct library call;
 4. sweep ``/riskmap`` over 10 more efforts on one keep-alive connection:
-   every map bit-identical to the direct call, median latency under
-   20 ms (no delayed-ACK stall), and ``/stats`` still showing the one
-   member pass the first map ran;
+   every map bit-identical to the direct call, and ``/stats`` still
+   showing the one member pass the first map ran;
 5. send SIGTERM and assert the graceful drain exits with code 0.
 
 Exits 0 on success; any failure prints a diagnosis and exits 1.
@@ -23,7 +22,6 @@ from __future__ import annotations
 import http.client
 import json
 import signal
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -42,7 +40,6 @@ SEED = 0
 SCALE = 0.4
 TIMEOUT = 120.0  # whole-script watchdog, seconds
 SWEEP = [0.25 * k for k in range(1, 11)]  # efforts the keep-alive sweep asks for
-MEDIAN_LIMIT = 0.020  # seconds; a delayed-ACK stall alone costs ~40 ms
 
 
 def log(message: str) -> None:
@@ -58,19 +55,16 @@ def get(port: int, path: str, method: str = "GET"):
 
 
 def sweep(port: int, predictor, features) -> str | None:
-    """``None`` if every effort serves fast, bit-identical, from one pass."""
+    """``None`` if every effort serves bit-identical maps from one pass."""
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30.0)
-    latencies = []
     try:
         for effort in SWEEP:
-            start = time.perf_counter()
             conn.request(
                 "GET",
                 f"/riskmap?park=MFNP&effort={effort}&seed={SEED}&scale={SCALE}",
             )
             response = conn.getresponse()
             body = json.loads(response.read())
-            latencies.append(time.perf_counter() - start)
             direct = predictor.predict_proba(features, effort=effort)
             if response.status != 200:
                 return f"effort {effort} answered {response.status}: {body}"
@@ -81,11 +75,7 @@ def sweep(port: int, predictor, features) -> str | None:
             "cache"]["member_passes"]
     finally:
         conn.close()
-    median = statistics.median(latencies)
-    log(f"sweep: {len(SWEEP)} efforts, median {median * 1000:.1f} ms, "
-        f"{passes} member pass(es)")
-    if median >= MEDIAN_LIMIT:
-        return f"median latency {median * 1000:.1f} ms >= {MEDIAN_LIMIT * 1000:.0f} ms"
+    log(f"sweep: {len(SWEEP)} efforts, {passes} member pass(es)")
     if passes != 1:
         return f"/stats shows {passes} member passes for MFNP, expected 1"
     return None
@@ -152,7 +142,7 @@ def main() -> int:
             if problem is not None:
                 log(f"FAIL: {problem}")
                 return 1
-            log("keep-alive sweep ok (bit-identical, fast, one member pass)")
+            log("keep-alive sweep ok (bit-identical, one member pass)")
 
             status, body = get(
                 port,

@@ -104,9 +104,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-park-service"
-    # TCP_NODELAY: a response leaves as two writes (headers, then body), and
-    # with Nagle on the body waits ~40 ms for the client's delayed ACK.
-    disable_nagle_algorithm = True
 
     # Quiet by default: one line per request on stderr only when verbose.
     def log_message(self, fmt, *args):  # noqa: A002 - stdlib signature
