@@ -5,7 +5,7 @@
 #   make bench-fit   training-engine throughput benchmark only
 #   make bench-serve full 1.6k->1M serving scalability sweep (regenerates its results/ artifact)
 #   make bench-daemon park-service load generator (latency percentiles + QPS)
-#   make test-zoo    solver zoo only (pinned B&B search behaviour)
+#   make test-zoo    solver zoo only (pinned patrol formulations and optima)
 #   make test-chaos  fault-injection suite (fixed seed matrix; failures
 #                    print their seed for exact replay)
 #   make smoke       CLI entry points all exit 0

@@ -32,7 +32,7 @@ from repro.exceptions import ConfigurationError, DeadlineExceededError
 from repro.data.generator import dataset_statistics
 from repro.evaluation import ascii_heatmap, format_table
 from repro.fieldtest import chi_squared_test, design_field_test, field_test_table, run_field_trial
-from repro.planning import BNB_STRATEGIES, SOLVER_MODES
+from repro.planning import SOLVER_MODES
 from repro.planning.service import PlanService
 from repro.runtime.service import RiskMapService
 
@@ -120,11 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--solver", choices=SOLVER_MODES, default="auto",
                       help="'auto' takes the LP fast path when every "
                       "utility is concave; 'milp' always keeps the SOS2 "
-                      "binaries; 'lp' forces the fast path; 'bnb' uses the "
-                      "from-scratch certified branch and bound")
-    plan.add_argument("--bnb-strategy", choices=BNB_STRATEGIES,
-                      default="best_bound",
-                      help="node/variable selection of the 'bnb' solver")
+                      "binaries; 'lp' forces the fast path")
     plan.add_argument("--n-jobs", type=int, default=1,
                       help="planning threads (plans identical to serial)")
     plan.add_argument("--deadline", type=_positive_seconds, default=None,
@@ -343,7 +339,6 @@ def _cmd_plan(args, out) -> int:
         n_patrols=args.patrols,
         n_segments=args.segments,
         solver_mode=args.solver,
-        bnb_strategy=args.bnb_strategy,
         n_jobs=args.n_jobs,
     )
 

@@ -23,6 +23,7 @@ from repro.data.smart import (
     ObservationRecord,
     SmartDatabase,
 )
+from repro.exceptions import ConfigurationError
 
 
 @dataclass
@@ -84,8 +85,8 @@ def generate_dataset(
     profile:
         Park profile (geometry, rates, patrol resources).
     seed:
-        Master seed; park layout, poacher tastes, and patrol randomness all
-        derive from it deterministically.
+        Master seed (non-negative); park layout, poacher tastes, and patrol
+        randomness all derive from it deterministically.
     calibration_iters:
         Maximum intercept-calibration re-simulations.
 
@@ -94,6 +95,8 @@ def generate_dataset(
     ParkData
         The park, ground truth, SMART database, and supervised dataset.
     """
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     park = SyntheticPark.generate(profile, seed=seed)
     poachers = PoacherModel(park, seed=seed + 1)
 

@@ -10,6 +10,7 @@ label fraction, mean patrol effort per cell) target the paper's Table I.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.exceptions import ConfigurationError
@@ -124,8 +125,10 @@ class ParkProfile:
         Useful for fast unit tests (factor < 1) or paper-scale runs
         (factor > 1).
         """
-        if factor <= 0:
-            raise ConfigurationError(f"scale factor must be positive, got {factor}")
+        if not (factor > 0 and math.isfinite(factor)):
+            raise ConfigurationError(
+                f"scale factor must be positive and finite, got {factor}"
+            )
         height = max(6, int(round(self.shape[0] * factor)))
         width = max(6, int(round(self.shape[1] * factor)))
         return replace(self, shape=(height, width))

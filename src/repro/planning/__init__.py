@@ -15,13 +15,8 @@ Modules
 * :mod:`repro.planning.graph` — time-unrolled graph and the flow polytope F.
 * :mod:`repro.planning.pwl` — piecewise-linear approximations of g and nu.
 * :mod:`repro.planning.robust` — the uncertainty-penalised objective (Eq. 4).
-* :mod:`repro.planning.milp` — the MILP formulation solved with HiGHS.
-* :mod:`repro.planning.branch_and_bound` — the from-scratch certified B&B
-  solver (warm-started node LPs, best-bound/pseudo-cost search, cover cuts)
-  that cross-validates the MILP backend and serves ``mode="bnb"``.
-* :mod:`repro.planning.simplex` — the warm-startable dual-simplex node-LP
-  oracle behind the B&B solver.
-* :mod:`repro.planning.cuts` — cover/flow-cover cut separation.
+* :mod:`repro.planning.milp` — the MILP formulation, its LP and certified
+  envelope fast paths, solved with HiGHS (``scipy.optimize.milp``).
 * :mod:`repro.planning.paths` — flow decomposition into ranger routes.
 * :mod:`repro.planning.planner` — the :class:`PatrolPlanner` facade.
 * :mod:`repro.planning.service` — :class:`PlanService`, the parallel
@@ -34,12 +29,6 @@ from repro.planning.graph import TimeUnrolledGraph
 from repro.planning.pwl import PiecewiseLinear, sample_breakpoints
 from repro.planning.robust import RobustObjective, robust_utility
 from repro.planning.milp import PatrolMILP, MILPSolution, MILPStructure, SOLVER_MODES
-from repro.planning.branch_and_bound import (
-    BNB_STRATEGIES,
-    BnBNode,
-    BnBResult,
-    BranchAndBoundSolver,
-)
 from repro.planning.paths import (
     PatrolRoute,
     coverage_of_routes,
@@ -60,10 +49,6 @@ __all__ = [
     "MILPSolution",
     "MILPStructure",
     "SOLVER_MODES",
-    "BNB_STRATEGIES",
-    "BnBNode",
-    "BnBResult",
-    "BranchAndBoundSolver",
     "PatrolRoute",
     "coverage_of_routes",
     "decompose_flow_into_routes",

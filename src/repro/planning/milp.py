@@ -12,9 +12,9 @@ Decision variables:
 Constraints: unit flow out of the source and into the sink, conservation at
 interior nodes, coverage linking ``c_v = K * (inflow(v) + [v = source])``
 expressed through the lambda representation, and the SOS2 adjacency rows.
-Solved with ``scipy.optimize.milp`` (HiGHS).
+Solved with ``scipy.optimize.milp`` (HiGHS), the only MILP backend.
 
-Two structural optimisations keep repeated solves cheap:
+Three structural optimisations keep repeated solves cheap:
 
 * **Model-structure reuse** — everything except the objective row (the
   sparse constraint matrix, row bounds, integrality) depends only on the
@@ -57,15 +57,12 @@ from scipy import sparse
 from scipy.optimize import LinearConstraint, Bounds, milp
 
 from repro.exceptions import ConfigurationError, InfeasibleError, PlanningError
-from repro.planning.branch_and_bound import BNB_STRATEGIES, BranchAndBoundSolver
 from repro.planning.graph import TimeUnrolledGraph
 from repro.planning.pwl import PiecewiseLinear
 from repro.runtime.concurrency import thread_shared
 
 #: Accepted values for the ``mode`` argument of :meth:`PatrolMILP.solve`.
-#: ``bnb`` routes the full SOS2 model through the from-scratch certified
-#: branch-and-bound solver instead of HiGHS.
-SOLVER_MODES = ("auto", "lp", "milp", "bnb")
+SOLVER_MODES = ("auto", "lp", "milp")
 
 
 @dataclass
@@ -95,12 +92,6 @@ class MILPStructure:
         Cells that carry ``z`` binaries; ``None`` means all of them (the
         classic MILP). The certified envelope path re-solves with binaries
         on just the offending cells.
-    row_kinds:
-        Per-row structural tag (``flow-source``, ``flow-sink``,
-        ``flow-balance``, ``coverage-link``, ``convexity``, ``sos2-sum``,
-        ``sos2-adjacency``) so downstream consumers — e.g. the cover-cut
-        separator of the branch-and-bound solver — can recognise the
-        knapsack-shaped rows without re-deriving the layout.
     """
 
     matrix: sparse.csc_matrix
@@ -113,25 +104,6 @@ class MILPStructure:
     n_vars: int
     lp_mode: bool
     binary_cells: tuple[int, ...] | None = None
-    row_kinds: tuple[str, ...] = ()
-
-
-@dataclass
-class MILPModel:
-    """Assembled matrices of one problem (P) instance.
-
-    Exposed so alternative solvers (e.g. the from-scratch branch and bound)
-    can consume exactly the same model HiGHS sees.
-    """
-
-    objective: np.ndarray
-    matrix: sparse.csc_matrix
-    row_lb: np.ndarray
-    row_ub: np.ndarray
-    integrality: np.ndarray
-    cells: list[int]
-    visit_edges: dict[int, list[int]]
-    row_kinds: tuple[str, ...] = ()
 
 
 @dataclass
@@ -155,10 +127,13 @@ class MILPSolution:
         *true* utility of the coverage), and ``"milp"`` for the full SOS2
         formulation.
     bound_gap:
-        Certified relative optimality gap: the relaxation's upper bound
-        minus the realised utility, over the bound. Zero on the exact
-        paths; at most ``max(mip_gap, envelope_gap)`` on the certified
-        envelope paths.
+        Relative optimality gap of the returned solution. On the certified
+        envelope paths it is the relaxation's upper bound minus the
+        realised utility, over the bound (at most
+        ``max(mip_gap, envelope_gap)``); on models with binaries it is the
+        gap HiGHS reports (at most ``mip_gap`` when the solve finished,
+        larger when it stopped early, e.g. at ``time_limit``). Zero on the
+        pure-LP path.
     """
 
     objective_value: float
@@ -196,12 +171,6 @@ class PatrolMILP:
         discretisation error of the model itself; 0 tightens the
         certificate to ``mip_gap``, the same guarantee the full SOS2 MILP
         provides.
-    bnb_strategy:
-        Node/variable selection of the from-scratch branch-and-bound
-        backend used by ``mode="bnb"`` (one of
-        :data:`~repro.planning.branch_and_bound.BNB_STRATEGIES`).
-    bnb_max_nodes:
-        Node cap of the ``mode="bnb"`` backend.
     """
 
     def __init__(
@@ -211,8 +180,6 @@ class PatrolMILP:
         time_limit: float = 60.0,
         mip_gap: float = 1e-4,
         envelope_gap: float = 1e-2,
-        bnb_strategy: str = "best_bound",
-        bnb_max_nodes: int = 100_000,
     ):
         if n_patrols < 1:
             raise ConfigurationError(f"n_patrols must be >= 1, got {n_patrols}")
@@ -220,18 +187,11 @@ class PatrolMILP:
             raise ConfigurationError(
                 f"envelope_gap must be >= 0, got {envelope_gap}"
             )
-        if bnb_strategy not in BNB_STRATEGIES:
-            raise ConfigurationError(
-                f"bnb_strategy must be one of {BNB_STRATEGIES}, "
-                f"got '{bnb_strategy}'"
-            )
         self.graph = graph
         self.n_patrols = int(n_patrols)
         self.time_limit = time_limit
         self.mip_gap = mip_gap
         self.envelope_gap = envelope_gap
-        self.bnb_strategy = bnb_strategy
-        self.bnb_max_nodes = int(bnb_max_nodes)
         # Mutated only under self._lock (the @thread_shared contract, RP004).
         self._lock = threading.RLock()
         self._structures: dict[tuple, MILPStructure] = {}
@@ -358,15 +318,10 @@ class PatrolMILP:
         vals: list[np.ndarray] = []
         lbs: list[float] = []
         ubs: list[float] = []
-        kinds: list[str] = []
         row_id = 0
 
         def add_row(
-            col_idx: list[int],
-            coeffs: list[float],
-            lo: float,
-            hi: float,
-            kind: str,
+            col_idx: list[int], coeffs: list[float], lo: float, hi: float
         ) -> None:
             nonlocal row_id
             rows.append(np.full(len(col_idx), row_id))
@@ -374,26 +329,21 @@ class PatrolMILP:
             vals.append(np.asarray(coeffs, dtype=float))
             lbs.append(lo)
             ubs.append(hi)
-            kinds.append(kind)
             row_id += 1
 
         out_edges, in_edges = graph.incidence_lists()
 
         # Unit flow out of the source and into the sink; conservation inside.
         src, snk = graph.source_node, graph.sink_node
-        add_row(
-            out_edges[src], [1.0] * len(out_edges[src]), 1.0, 1.0, "flow-source"
-        )
-        add_row(
-            in_edges[snk], [1.0] * len(in_edges[snk]), 1.0, 1.0, "flow-sink"
-        )
+        add_row(out_edges[src], [1.0] * len(out_edges[src]), 1.0, 1.0)
+        add_row(in_edges[snk], [1.0] * len(in_edges[snk]), 1.0, 1.0)
         for node in range(graph.n_nodes):
             if node in (src, snk):
                 continue
             idx = in_edges[node] + out_edges[node]
             coef = [1.0] * len(in_edges[node]) + [-1.0] * len(out_edges[node])
             if idx:
-                add_row(idx, coef, 0.0, 0.0, "flow-balance")
+                add_row(idx, coef, 0.0, 0.0)
 
         # Coverage linking: sum_j lambda_vj x_j - K*(inflow_v + 1{v=src}) = 0.
         visit_edges = graph.cell_visit_edges()
@@ -405,7 +355,7 @@ class PatrolMILP:
             col_idx = lam_idx + edge_idx
             coeffs = list(xs) + [-K] * len(edge_idx)
             rhs = K if v == graph.source_cell else 0.0
-            add_row(col_idx, coeffs, rhs, rhs, "coverage-link")
+            add_row(col_idx, coeffs, rhs, rhs)
 
         # Convexity; plus the SOS2 adjacency system for binary cells (concave
         # utilities make the plain lambda relaxation exact, so their cells
@@ -413,11 +363,11 @@ class PatrolMILP:
         for v in cells:
             m = utilities[v].n_segments
             lam_idx = list(range(lam_offset[v], lam_offset[v] + m + 1))
-            add_row(lam_idx, [1.0] * (m + 1), 1.0, 1.0, "convexity")
+            add_row(lam_idx, [1.0] * (m + 1), 1.0, 1.0)
             if v not in binary_set:
                 continue
             z_idx = list(range(z_offset[v], z_offset[v] + m))
-            add_row(z_idx, [1.0] * m, 1.0, 1.0, "sos2-sum")
+            add_row(z_idx, [1.0] * m, 1.0, 1.0)
             for j in range(m + 1):
                 adjacent = []
                 if j > 0:
@@ -429,7 +379,6 @@ class PatrolMILP:
                     [1.0] + [-1.0] * len(adjacent),
                     -np.inf,
                     0.0,
-                    "sos2-adjacency",
                 )
 
         matrix = sparse.coo_matrix(
@@ -452,7 +401,6 @@ class PatrolMILP:
             n_vars=n_vars,
             lp_mode=lp_mode,
             binary_cells=binary_key,
-            row_kinds=tuple(kinds),
         )
         with self._lock:
             incumbent = self._structures.get(key)
@@ -471,32 +419,6 @@ class PatrolMILP:
             off = structure.lam_offset[v]
             objective[off : off + ys.size] = -ys  # maximise
         return objective
-
-    def build_model(
-        self, utilities: dict[int, PiecewiseLinear], lp_mode: bool = False
-    ) -> MILPModel:
-        """Assemble the full model of problem (P).
-
-        Parameters
-        ----------
-        utilities:
-            Per-reachable-cell PWL utility functions of coverage, each with
-            domain [0, T*K].
-        lp_mode:
-            Drop the ``z`` binaries and SOS2 rows (only exact when every
-            utility is concave).
-        """
-        structure = self.build_structure(utilities, lp_mode=lp_mode)
-        return MILPModel(
-            objective=self.objective_vector(structure, utilities),
-            matrix=structure.matrix,
-            row_lb=structure.row_lb,
-            row_ub=structure.row_ub,
-            integrality=structure.integrality,
-            cells=structure.cells,
-            visit_edges=structure.visit_edges,
-            row_kinds=structure.row_kinds,
-        )
 
     # ------------------------------------------------------------------
     #: Maximum certified-envelope rounds (one pure-LP round plus partial
@@ -522,15 +444,12 @@ class PatrolMILP:
             the module docstring), and the full SOS2 MILP only when the
             envelope certificate fails; ``"lp"`` forces the pure fast path
             (rejecting non-concave inputs); ``"milp"`` always carries the
-            segment binaries; ``"bnb"`` solves the same full SOS2 model
-            with the from-scratch certified branch and bound.
+            segment binaries.
         """
         if mode not in SOLVER_MODES:
             raise ConfigurationError(
                 f"mode must be one of {SOLVER_MODES}, got '{mode}'"
             )
-        if mode == "bnb":
-            return self._solve_bnb(utilities)
         if mode == "milp":
             return self._solve_model(utilities, utilities, lp_mode=False)
         all_concave = all(pwl.is_concave() for pwl in utilities.values())
@@ -543,40 +462,6 @@ class PatrolMILP:
         if all_concave:
             return self._solve_model(utilities, utilities, lp_mode=True)
         return self._solve_enveloped(utilities)
-
-    def _solve_bnb(
-        self, utilities: dict[int, PiecewiseLinear]
-    ) -> MILPSolution:
-        """Solve the full SOS2 model with the certified B&B backend.
-
-        Uses the same cached :class:`MILPStructure` the HiGHS path builds,
-        handing its ``row_kinds`` to the cut separator and reporting the
-        solver's certified ``bound_gap`` (non-zero only on node-limit
-        exits).
-        """
-        structure = self.build_structure(utilities, lp_mode=False)
-        objective = self.objective_vector(structure, utilities)
-        solver = BranchAndBoundSolver(
-            max_nodes=self.bnb_max_nodes, strategy=self.bnb_strategy
-        )
-        result = solver.solve(
-            objective,
-            structure.matrix,
-            structure.row_lb,
-            structure.row_ub,
-            binary_mask=structure.integrality.astype(bool),
-            row_kinds=structure.row_kinds,
-        )
-        solution = self.extract_solution(
-            structure,
-            result.x,
-            float(-result.objective_value),
-            result.status,
-            method="bnb",
-        )
-        if result.status != "optimal":
-            solution.bound_gap = float(result.bound_gap)
-        return solution
 
     def _solve_enveloped(
         self, utilities: dict[int, PiecewiseLinear]
@@ -662,17 +547,22 @@ class PatrolMILP:
             raise InfeasibleError("patrol-planning MILP is infeasible")
         if result.x is None:
             raise PlanningError(f"MILP solve failed: {result.message}")
-        return self.extract_solution(
+        solution = self.extract_solution(
             structure,
             result.x,
             float(-result.fun),
             str(result.message),
             method=method or ("lp" if lp_mode else "milp"),
         )
+        if structure.integrality.any():
+            # HiGHS's own gap: at most mip_gap on a finished solve, larger
+            # when it stopped early (time limit) with a feasible incumbent.
+            solution.bound_gap = float(result.mip_gap)
+        return solution
 
     def extract_solution(
         self,
-        model: MILPModel | MILPStructure,
+        structure: MILPStructure,
         x: np.ndarray,
         objective_value: float,
         status: str,
@@ -683,8 +573,8 @@ class PatrolMILP:
         flows = np.asarray(x[:n_edges], dtype=float)
         coverage = np.zeros(self.graph.grid.n_cells)
         K = float(self.n_patrols)
-        for v in model.cells:
-            edge_idx = model.visit_edges.get(v, [])
+        for v in structure.cells:
+            edge_idx = structure.visit_edges.get(v, [])
             inflow = float(flows[edge_idx].sum()) if edge_idx else 0.0
             if v == self.graph.source_cell:
                 inflow += 1.0

@@ -66,12 +66,7 @@ class PatrolPlanner:
     solver_mode:
         ``"auto"`` (default) drops the SOS2 binaries and solves a pure LP
         whenever every utility is concave; ``"milp"`` always carries them;
-        ``"lp"`` forces the fast path (rejecting non-concave utilities);
-        ``"bnb"`` routes the full model through the from-scratch certified
-        branch-and-bound backend.
-    bnb_strategy:
-        Node/variable selection of the ``"bnb"`` backend (one of
-        :data:`~repro.planning.branch_and_bound.BNB_STRATEGIES`).
+        ``"lp"`` forces the fast path (rejecting non-concave utilities).
     """
 
     def __init__(
@@ -83,7 +78,6 @@ class PatrolPlanner:
         n_segments: int = 10,
         time_limit: float = 60.0,
         solver_mode: str = "auto",
-        bnb_strategy: str = "best_bound",
     ):
         if n_segments < 1:
             raise ConfigurationError(f"n_segments must be >= 1, got {n_segments}")
@@ -98,13 +92,9 @@ class PatrolPlanner:
         self.n_segments = int(n_segments)
         self.time_limit = time_limit
         self.solver_mode = solver_mode
-        self.bnb_strategy = bnb_strategy
         self.graph = TimeUnrolledGraph(grid, self.source_cell, self.horizon)
         self._milp = PatrolMILP(
-            self.graph,
-            n_patrols=self.n_patrols,
-            time_limit=time_limit,
-            bnb_strategy=bnb_strategy,
+            self.graph, n_patrols=self.n_patrols, time_limit=time_limit
         )
 
     # ------------------------------------------------------------------

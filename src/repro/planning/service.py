@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.geo.grid import Grid
-from repro.planning.branch_and_bound import BNB_STRATEGIES
 from repro.planning.milp import SOLVER_MODES
 from repro.planning.planner import PatrolPlan, PatrolPlanner
 from repro.planning.robust import RobustObjective
@@ -77,12 +76,7 @@ class PlanService:
         Planner parameters, shared across posts (see
         :class:`~repro.planning.planner.PatrolPlanner`).
     solver_mode:
-        ``"auto"`` / ``"lp"`` / ``"milp"`` / ``"bnb"`` — forwarded to every
-        planner.
-    bnb_strategy:
-        Node/variable selection of the ``"bnb"`` backend, forwarded to
-        every planner (one of
-        :data:`~repro.planning.branch_and_bound.BNB_STRATEGIES`).
+        ``"auto"`` / ``"lp"`` / ``"milp"`` — forwarded to every planner.
     n_jobs:
         Default thread count for :meth:`plan_all` fan-outs (results are
         bit-identical at any worker count).
@@ -99,7 +93,6 @@ class PlanService:
         n_segments: int = 8,
         time_limit: float = 60.0,
         solver_mode: str = "auto",
-        bnb_strategy: str = "best_bound",
         n_jobs: int | None = 1,
     ):
         if not hasattr(model, "effort_response"):
@@ -110,11 +103,6 @@ class PlanService:
         if solver_mode not in SOLVER_MODES:
             raise ConfigurationError(
                 f"solver_mode must be one of {SOLVER_MODES}, got '{solver_mode}'"
-            )
-        if bnb_strategy not in BNB_STRATEGIES:
-            raise ConfigurationError(
-                f"bnb_strategy must be one of {BNB_STRATEGIES}, "
-                f"got '{bnb_strategy}'"
             )
         self.service = self._as_service(model)
         self.grid = grid
@@ -131,7 +119,6 @@ class PlanService:
         self.n_segments = int(n_segments)
         self.time_limit = time_limit
         self.solver_mode = solver_mode
-        self.bnb_strategy = bnb_strategy
         self.n_jobs = n_jobs
         # Mutated only under self._lock (the @thread_shared contract, RP004).
         self._lock = threading.RLock()
@@ -202,7 +189,6 @@ class PlanService:
                         n_segments=self.n_segments,
                         time_limit=self.time_limit,
                         solver_mode=self.solver_mode,
-                        bnb_strategy=self.bnb_strategy,
                     )
                     self._planners[post] = planner
         return planner

@@ -36,6 +36,7 @@ call's array — the chaos suite asserts exactly that.
 from __future__ import annotations
 
 import json
+import math
 import signal
 import sys
 import threading
@@ -71,6 +72,16 @@ def _json_default(value):
     raise TypeError(  # repro: ignore[RP002] -- json.dumps contract
         f"unserializable {type(value).__name__} in response payload"
     )
+
+
+def _finite_float(raw: str) -> float:
+    """``float(raw)`` refusing NaN and infinities, which JSON cannot carry."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(  # repro: ignore[RP002] -- float() cast contract
+            f"non-finite number {raw!r}"
+        )
+    return value
 
 
 def plan_payload(plan) -> dict:
@@ -376,22 +387,10 @@ class ParkServiceDaemon:
                 return handle(params, deadline)
 
     def _deadline_from(self, params: dict) -> Deadline | None:
-        raw = params.get("deadline")
-        if raw is None:
-            seconds = self.default_deadline
-        else:
-            try:
-                seconds = float(raw)
-            except ValueError:
-                raise _HTTPError(
-                    400, {"error": f"deadline must be a number, got '{raw}'"}
-                ) from None
-            if seconds <= 0.0:
-                raise _HTTPError(
-                    400,
-                    {"error": "deadline must be positive seconds, got "
-                              f"{raw}"},
-                )
+        # Deadline() itself rejects non-positive budgets (a typed 400).
+        seconds = self._param(
+            params, "deadline", _finite_float, self.default_deadline
+        )
         return None if seconds is None else Deadline.resolve(seconds)
 
     @staticmethod
@@ -402,8 +401,8 @@ class ParkServiceDaemon:
         try:
             return cast(raw)
         except (TypeError, ValueError):
-            raise _HTTPError(
-                400, {"error": f"invalid value for '{name}': '{raw}'"}
+            raise ConfigurationError(
+                f"invalid value for '{name}': '{raw}'"
             ) from None
 
     def _park_entry(self, params: dict, deadline=None):
@@ -427,9 +426,9 @@ class ParkServiceDaemon:
     # ------------------------------------------------------------------
     def _handle_riskmap(self, params: dict, deadline):
         entry = self._park_entry(params, deadline)
-        effort = self._param(params, "effort", float, None)
+        effort = self._param(params, "effort", _finite_float, None)
         seed = self._param(params, "seed", int, 0)
-        scale = self._param(params, "scale", float, 1.0)
+        scale = self._param(params, "scale", _finite_float, 1.0)
         risk = entry.risk_map(
             effort=effort, seed=seed, scale=scale, deadline=deadline
         )
@@ -445,10 +444,10 @@ class ParkServiceDaemon:
 
     def _handle_plan(self, params: dict, deadline):
         entry = self._park_entry(params, deadline)
-        beta = self._param(params, "beta", float, 0.8)
+        beta = self._param(params, "beta", _finite_float, 0.8)
         post = self._param(params, "post", int, None)
         seed = self._param(params, "seed", int, 0)
-        scale = self._param(params, "scale", float, 1.0)
+        scale = self._param(params, "scale", _finite_float, 1.0)
         plans = entry.plan(
             beta=beta, post=post, seed=seed, scale=scale, deadline=deadline
         )

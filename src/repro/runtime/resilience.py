@@ -4,8 +4,8 @@ The pool fan-outs of :mod:`repro.runtime.parallel` historically dispatched
 through bare ``pool.map``: one OOM-killed process worker aborted the entire
 fan-out, nothing could say "this request has a deadline", and a failure left
 no trace of what degraded. :func:`supervised_map` replaces that dispatch with
-per-task futures under a supervisor that extends the B&B solver's "never
-wrong, only slow" contract to the runtime:
+per-task futures under a supervisor whose contract is "never wrong, only
+slow":
 
 * **Crash recovery.** A dead worker (``BrokenProcessPool``) fails only the
   tasks that had not completed; the supervisor re-runs exactly the missing

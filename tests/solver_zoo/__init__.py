@@ -1,9 +1,7 @@
-"""The branch-and-bound test-model zoo.
+"""The solver zoo: pinned patrol formulations and optima.
 
-Programmatically-built MILP instances in the ``simple_mip_solver``
-taxonomy (no-branch, small-branch, deep-branch, infeasible,
-unbounded-relaxation, degenerate-tie) plus serialized patrol-graph
-instances.  Every entry pins objective, status, node count, and the
-exploration-order fingerprint for every search strategy, so a solver
-speedup that silently changes the search tree fails loudly.
+Seeded patrol MILPs, two of them frozen as ``.npz`` files so the
+formulation :class:`repro.planning.milp.PatrolMILP` builds cannot drift
+silently, plus the optimum HiGHS must reach on each, with every answer
+checked against the patrol graph by a feasibility certificate.
 """

@@ -1,167 +1,51 @@
-"""The solver zoo: pinned search behaviour for every B&B strategy.
+"""The solver zoo: pinned patrol formulations and optima.
 
-Every zoo instance pins the objective, terminal status, node count, AND
-the exploration-order fingerprint for every search strategy, both with
-cuts enabled (the production default) and disabled (which separates the
-strategies' search orders).  A change to branching, node selection, cut
-separation, or warm-start vertices that alters the search tree fails
-here *by name* — intentional changes must repin consciously.
-
-Also hosts the branching-determinism contract (S3: ``np.argmax``
-lowest-index tie-break, round-toward-LP child ordering) and the
-B&B <-> HiGHS cross-validation on seeded randomized patrol instances
-(S4).
+The frozen instances pin the formulation: a fresh
+:meth:`~repro.planning.milp.PatrolMILP.build_structure` must reproduce
+the committed ``instances/*.npz`` array for array. The table below pins
+the optimum of five seeded patrol instances: HiGHS must reach it in
+``mode="milp"``, and ``mode="auto"`` must land within its certified gap.
+An independent branch-and-bound solve reached the same optima, bit for
+bit, when they were recorded. Every answer is also checked against the
+patrol graph itself (:func:`tests.helpers_milp.assert_certified`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.exceptions import InfeasibleError, PlanningError
-from repro.planning.branch_and_bound import (
-    BNB_STRATEGIES,
-    BranchAndBoundSolver,
+from tests.helpers_milp import assert_certified
+
+from .serialize import (
+    FROZEN_SEEDS,
+    freeze,
+    instance_name,
+    load_all,
+    load_instance,
+    patrol_problem,
+    save_instance,
 )
 
-from .models import ZOO_BUILDERS, ZooInstance, build_all, degenerate_tie
-from .serialize import build_patrol_instance, load_all, load_instance
-
-# ---------------------------------------------------------------------------
-# The pin table.  (instance, strategy, cuts) -> (objective, nodes, sha1[:16]).
-#
-# Objectives are bit-equal pins: zoo data is integer-valued and incumbents
-# are recomputed as ``c @ x_round``, so equality is exact, not approximate
-# (patrol instances pin the float the solver reproducibly computes).
-# Regenerate a row by running the instance once and pasting the values —
-# and say in the commit message *why* the search tree moved.
-# ---------------------------------------------------------------------------
-EXPECTED = {
-    ("no_branch", "dfs", True): (-5.0, 1, "a10b28ffe527c1be"),
-    ("no_branch", "best_bound", True): (-5.0, 1, "a10b28ffe527c1be"),
-    ("no_branch", "pseudo_cost", True): (-5.0, 1, "a10b28ffe527c1be"),
-    ("no_branch", "dfs", False): (-5.0, 1, "a10b28ffe527c1be"),
-    ("no_branch", "best_bound", False): (-5.0, 1, "a10b28ffe527c1be"),
-    ("no_branch", "pseudo_cost", False): (-5.0, 1, "a10b28ffe527c1be"),
-    ("small_branch", "dfs", True): (-16.0, 1, "a10b28ffe527c1be"),
-    ("small_branch", "best_bound", True): (-16.0, 1, "a10b28ffe527c1be"),
-    ("small_branch", "pseudo_cost", True): (-16.0, 1, "a10b28ffe527c1be"),
-    ("small_branch", "dfs", False): (-16.0, 7, "15ad87b33e225c5c"),
-    ("small_branch", "best_bound", False): (-16.0, 7, "55aecc26f0e6c595"),
-    ("small_branch", "pseudo_cost", False): (-16.0, 7, "55aecc26f0e6c595"),
-    ("deep_branch", "dfs", True): (-20.0, 1, "a10b28ffe527c1be"),
-    ("deep_branch", "best_bound", True): (-20.0, 1, "a10b28ffe527c1be"),
-    ("deep_branch", "pseudo_cost", True): (-20.0, 1, "a10b28ffe527c1be"),
-    ("deep_branch", "dfs", False): (-20.0, 937, "4bc1d16666d1e900"),
-    ("deep_branch", "best_bound", False): (-20.0, 329, "75d0f8940227487f"),
-    ("deep_branch", "pseudo_cost", False): (-20.0, 329, "75d0f8940227487f"),
-    ("degenerate_tie", "dfs", True): (0.0, 5, "a8dbe75c96246d46"),
-    ("degenerate_tie", "best_bound", True): (0.0, 5, "a8dbe75c96246d46"),
-    ("degenerate_tie", "pseudo_cost", True): (0.0, 5, "a8dbe75c96246d46"),
-    ("degenerate_tie", "dfs", False): (0.0, 5, "a8dbe75c96246d46"),
-    ("degenerate_tie", "best_bound", False): (0.0, 5, "a8dbe75c96246d46"),
-    ("degenerate_tie", "pseudo_cost", False): (0.0, 5, "a8dbe75c96246d46"),
-    ("patrol_4x4_h4_seed7", "dfs", True):
-        (-0.6669988027977525, 5, "45167f89822b9c47"),
-    ("patrol_4x4_h4_seed7", "best_bound", True):
-        (-0.6669988027977525, 5, "45167f89822b9c47"),
-    ("patrol_4x4_h4_seed7", "pseudo_cost", True):
-        (-0.6669988027977525, 5, "45167f89822b9c47"),
-    ("patrol_4x4_h4_seed23", "dfs", True):
-        (-0.6896865275335958, 3, "31c987a889a6ed40"),
-    ("patrol_4x4_h4_seed23", "best_bound", True):
-        (-0.6896865275335958, 3, "31c987a889a6ed40"),
-    ("patrol_4x4_h4_seed23", "pseudo_cost", True):
-        (-0.6896865275335958, 3, "31c987a889a6ed40"),
+# (seed, height, width, horizon) -> (optimum, path mode="auto" takes).
+# Repin only with a reason: say in the commit message why the optimum moved.
+PINNED = {
+    (7, 4, 4, 4): (0.6669988027977525, "milp-partial"),
+    (23, 4, 4, 4): (0.6896865275335958, "milp-partial"),
+    (3, 3, 4, 3): (0.18394951132755516, "milp-partial"),
+    (11, 3, 4, 3): (0.39961114424467675, "lp-envelope"),
+    (29, 3, 4, 3): (0.20465392552839237, "milp-partial"),
 }
-
-
-def _zoo() -> dict[str, ZooInstance]:
-    return {**build_all(), **load_all()}
-
-
-_INSTANCES = _zoo()
-
-
-def _solve(inst: ZooInstance, strategy: str, cuts: bool):
-    solver = BranchAndBoundSolver(strategy=strategy, cuts=cuts)
-    return solver.solve(
-        inst.c,
-        inst.matrix,
-        inst.row_lb,
-        inst.row_ub,
-        inst.binary_mask,
-        var_lb=inst.var_lb,
-        var_ub=inst.var_ub,
-        row_kinds=inst.row_kinds or None,
-    )
-
-
-class TestZooPins:
-    @pytest.mark.parametrize(
-        "name,strategy,cuts",
-        sorted(EXPECTED),
-        ids=[
-            f"{name}-{strategy}-{'cuts' if cuts else 'nocuts'}"
-            for name, strategy, cuts in sorted(EXPECTED)
-        ],
-    )
-    def test_pinned_fingerprint(self, name, strategy, cuts):
-        inst = _INSTANCES[name]
-        result = _solve(inst, strategy, cuts)
-        objective, nodes, fingerprint = EXPECTED[(name, strategy, cuts)]
-        assert result.status == "optimal"
-        assert result.objective_value == objective
-        assert result.n_nodes_explored == nodes
-        assert result.exploration_fingerprint == fingerprint
-        assert result.best_bound == pytest.approx(objective, abs=1e-9)
-        assert result.bound_gap == 0.0
-
-    @pytest.mark.parametrize("strategy", BNB_STRATEGIES)
-    def test_infeasible_instance_raises(self, strategy):
-        inst = _INSTANCES["infeasible"]
-        with pytest.raises(InfeasibleError):
-            _solve(inst, strategy, cuts=True)
-
-    @pytest.mark.parametrize("strategy", BNB_STRATEGIES)
-    def test_unbounded_relaxation_raises(self, strategy):
-        inst = _INSTANCES["unbounded_relaxation"]
-        with pytest.raises(PlanningError, match="unbounded"):
-            _solve(inst, strategy, cuts=True)
-
-    def test_expected_table_covers_every_optimal_instance(self):
-        """Adding a zoo instance without pinning it is itself a failure."""
-        optimal = {
-            name
-            for name, inst in _INSTANCES.items()
-            if inst.expected_status == "optimal"
-        }
-        pinned = {name for name, _, _ in EXPECTED}
-        assert pinned == optimal
-        for name in optimal:
-            for strategy in BNB_STRATEGIES:
-                assert (name, strategy, True) in EXPECTED
-
-    def test_builders_match_expected_objectives(self):
-        for name, builder in ZOO_BUILDERS.items():
-            inst = builder()
-            if inst.expected_status != "optimal":
-                continue
-            result = _solve(inst, "best_bound", cuts=True)
-            assert result.objective_value == inst.expected_objective
+_KEYS = sorted(PINNED)
+_IDS = [instance_name(*key) for key in _KEYS]
 
 
 class TestSerializedInstances:
     def test_round_trip_preserves_model(self, tmp_path):
-        from .serialize import save_instance
-
-        inst = _INSTANCES["small_branch"]
-        path = tmp_path / "small_branch.npz"
+        inst = freeze(*patrol_problem(3, height=3, width=4, horizon=3))
+        path = tmp_path / "patrol.npz"
         save_instance(inst, path)
         back = load_instance(path)
-        assert back.name == "small_branch"
         np.testing.assert_array_equal(back.c, inst.c)
         np.testing.assert_array_equal(
             back.matrix.toarray(), inst.matrix.toarray()
@@ -169,91 +53,66 @@ class TestSerializedInstances:
         np.testing.assert_array_equal(back.row_lb, inst.row_lb)
         np.testing.assert_array_equal(back.row_ub, inst.row_ub)
         np.testing.assert_array_equal(back.binary_mask, inst.binary_mask)
-        assert back.row_kinds == inst.row_kinds
 
     def test_serialized_patrol_instances_are_reproducible(self):
-        """The committed .npz files match a fresh deterministic rebuild."""
-        for seed in (7, 23):
-            fresh = build_patrol_instance(seed)
-            stored = _INSTANCES[fresh.name]
-            np.testing.assert_array_equal(stored.c, fresh.c)
+        """The committed .npz files match a fresh deterministic build."""
+        stored = load_all()
+        assert sorted(stored) == sorted(map(instance_name, FROZEN_SEEDS))
+        for seed in FROZEN_SEEDS:
+            fresh = freeze(*patrol_problem(seed))
+            frozen = stored[instance_name(seed)]
+            np.testing.assert_array_equal(frozen.c, fresh.c)
             np.testing.assert_array_equal(
-                stored.matrix.toarray(), fresh.matrix.toarray()
+                frozen.matrix.toarray(), fresh.matrix.toarray()
             )
-            np.testing.assert_array_equal(stored.row_lb, fresh.row_lb)
-            np.testing.assert_array_equal(stored.row_ub, fresh.row_ub)
-            np.testing.assert_array_equal(
-                stored.binary_mask, fresh.binary_mask
-            )
-            assert stored.row_kinds == fresh.row_kinds
-
-    def test_serialized_instances_carry_patrol_row_structure(self):
-        for name, inst in load_all().items():
-            kinds = set(inst.row_kinds)
-            assert "flow-source" in kinds, name
-            assert "sos2-sum" in kinds, name
-            assert inst.binary_mask.any(), name
+            np.testing.assert_array_equal(frozen.row_lb, fresh.row_lb)
+            np.testing.assert_array_equal(frozen.row_ub, fresh.row_ub)
+            np.testing.assert_array_equal(frozen.binary_mask, fresh.binary_mask)
+            assert frozen.binary_mask.any()
 
 
-class TestBranchingDeterminism:
-    """S3: the documented tie-breaks, pinned through branch histories."""
-
-    def test_argmax_breaks_fractionality_ties_at_lowest_index(self):
-        """(0.5, 0.5) ties exactly; the root must branch on variable 0."""
-        inst = degenerate_tie()
-        for strategy in BNB_STRATEGIES:
-            result = _solve(inst, strategy, cuts=False)
-            root_entry = result.branch_history[0]
-            assert root_entry == (-1, -1, "B", 0), strategy
-
-    def test_fraction_at_half_explores_up_child_first(self):
-        """x = 0.5 rounds up: the x=1 child is explored before x=0."""
-        inst = degenerate_tie()
-        for strategy in BNB_STRATEGIES:
-            result = _solve(inst, strategy, cuts=False)
-            first_child = result.branch_history[1]
-            assert first_child[:2] == (0, 1), strategy
-
-    def test_fraction_below_half_explores_down_child_first(self):
-        """x = 1/3 rounds down: the x=0 child is explored before x=1."""
-        c = np.array([-1.0, -1.0])
-        a = sparse.csr_matrix(np.array([[3.0, 0.0], [0.0, 1.0]]))
-        row_lb = np.array([-np.inf, -np.inf])
-        row_ub = np.array([1.0, 1.0])
-        mask = np.ones(2, dtype=bool)
-        for strategy in BNB_STRATEGIES:
-            solver = BranchAndBoundSolver(strategy=strategy, cuts=False)
-            result = solver.solve(c, a, row_lb, row_ub, mask)
-            assert result.branch_history[0] == (-1, -1, "B", 0), strategy
-            assert result.branch_history[1][:2] == (0, 0), strategy
-            assert result.objective_value == -1.0
-
-    def test_repeated_solves_are_bitwise_identical(self):
-        """No hidden state: same instance, same fingerprint, every time."""
-        inst = _INSTANCES["patrol_4x4_h4_seed7"]
-        results = [_solve(inst, "best_bound", cuts=True) for _ in range(3)]
-        fingerprints = {r.exploration_fingerprint for r in results}
-        objectives = {r.objective_value for r in results}
-        assert len(fingerprints) == 1
-        assert len(objectives) == 1
+class TestZooPins:
+    def test_expected_table_covers_every_optimal_instance(self):
+        """Freezing an instance without pinning its optimum is a failure."""
+        pinned = {instance_name(*key) for key in PINNED}
+        assert set(load_all()) <= pinned
 
 
 class TestHighsCrossValidation:
-    """S4: B&B and HiGHS agree on seeded randomized patrol instances."""
+    """HiGHS reaches the pinned optima, and every answer is certified."""
 
-    @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_agrees_with_highs_on_random_patrol_instances(self, seed):
-        inst = build_patrol_instance(seed, height=3, width=4, horizon=3)
-        reference = milp(
-            c=inst.c,
-            constraints=LinearConstraint(inst.matrix, inst.row_lb, inst.row_ub),
-            integrality=inst.binary_mask.astype(int),
-            bounds=Bounds(np.zeros(inst.c.size), np.ones(inst.c.size)),
+    @pytest.mark.parametrize("key", _KEYS, ids=_IDS)
+    def test_agrees_with_highs_on_random_patrol_instances(self, key):
+        milp, utilities = patrol_problem(*key)
+        solution = milp.solve(utilities, mode="milp")
+        optimum, __ = PINNED[key]
+        assert solution.method == "milp"
+        assert solution.objective_value == pytest.approx(
+            optimum, rel=milp.mip_gap
         )
-        assert reference.status == 0
-        for strategy in BNB_STRATEGIES:
-            result = _solve(inst, strategy, cuts=True)
-            assert result.status == "optimal"
-            assert result.objective_value == pytest.approx(
-                reference.fun, abs=1e-6
-            ), strategy
+        assert 0.0 <= solution.bound_gap <= milp.mip_gap
+        assert_certified(milp, utilities, solution)
+
+    @pytest.mark.parametrize("key", _KEYS, ids=_IDS)
+    def test_auto_mode_lands_within_its_bound_gap(self, key):
+        milp, utilities = patrol_problem(*key)
+        solution = milp.solve(utilities)
+        optimum, method = PINNED[key]
+        assert solution.method == method
+        # Objectives here are below 1, so the relative gap is absolute.
+        assert solution.objective_value == pytest.approx(
+            optimum, abs=solution.bound_gap + milp.mip_gap
+        )
+        assert_certified(milp, utilities, solution)
+
+
+class TestBranchingDeterminism:
+    def test_repeated_solves_are_bitwise_identical(self):
+        """No hidden state: structure-cache hits return the same bits."""
+        milp, utilities = patrol_problem(7)
+        first = milp.solve(utilities, mode="milp")
+        for __ in range(2):
+            again = milp.solve(utilities, mode="milp")
+            assert again.objective_value == first.objective_value
+            assert again.edge_flows.tobytes() == first.edge_flows.tobytes()
+        assert milp.structure_hits == 2

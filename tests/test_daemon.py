@@ -62,14 +62,23 @@ def daemon(models_dir):
     d.close()
 
 
+def strict_json(raw: bytes):
+    """Parse a body as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} in body: {raw[:200]!r}")
+
+    return json.loads(raw, parse_constant=reject)
+
+
 def http_get(daemon, path, timeout=30.0):
-    """(status, parsed json body) for one GET against the daemon."""
+    """(status, strictly parsed json body) for one GET against the daemon."""
     url = f"http://127.0.0.1:{daemon.port}{path}"
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.status, json.loads(response.read())
+            return response.status, strict_json(response.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        return error.code, strict_json(error.read())
 
 
 def http_post(daemon, path, timeout=60.0):
@@ -77,9 +86,9 @@ def http_post(daemon, path, timeout=60.0):
     request = urllib.request.Request(url, method="POST")
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read())
+            return response.status, strict_json(response.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        return error.code, strict_json(error.read())
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +471,25 @@ class TestDaemonHTTP:
             status, body = http_get(daemon, f"/riskmap?park=MFNP&deadline={value}")
             assert status == 400, value
             assert "deadline" in body["error"]
+
+    @pytest.mark.parametrize(
+        "route,knob", [("/riskmap", "effort"), ("/plan", "beta")]
+    )
+    @pytest.mark.parametrize(
+        "query",
+        ["scale=nan", "scale=inf", "seed=-5", "{}=nan", "{}=inf"],
+        ids=["scale-nan", "scale-inf", "seed-negative", "knob-nan", "knob-inf"],
+    )
+    def test_hostile_query_values_are_typed_400s(
+        self, daemon, route, knob, query
+    ):
+        """Non-finite floats and negative seeds: a typed 400, never a 500
+        or a body holding NaN (``http_get`` parses strictly)."""
+        status, body = http_get(
+            daemon, f"{route}?park=MFNP&" + query.format(knob)
+        )
+        assert status == 400, body
+        assert body["kind"] == "ConfigurationError"
 
     def test_unknown_route_404_lists_routes(self, daemon):
         status, body = http_get(daemon, "/nope")

@@ -116,6 +116,10 @@ class TestYearSplit:
 
 
 class TestGenerator:
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            generate_dataset(SMALL, seed=-5)
+
     def test_deterministic(self):
         a = generate_dataset(SMALL, seed=5)
         b = generate_dataset(SMALL, seed=5)

@@ -62,6 +62,11 @@ class TestProfiles:
         with pytest.raises(ConfigurationError):
             MFNP.scaled(0.0)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_scaled_rejects_nonfinite(self, factor):
+        with pytest.raises(ConfigurationError, match="finite"):
+            MFNP.scaled(factor)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ParkProfile(name="x", shape=(8, 8), geometry="hexagon")

@@ -7,10 +7,9 @@ import pytest
 
 from repro.core import IWareEnsemble, UncertaintyScaler, make_weak_learner
 from repro.data import MFNP, generate_dataset
-from repro.exceptions import ConfigurationError, DataError, PlanningError
+from repro.exceptions import DataError
 from repro.geo import Grid, geodesic_distance
 from repro.planning import PatrolMILP, PiecewiseLinear, TimeUnrolledGraph
-from repro.planning.branch_and_bound import BranchAndBoundSolver
 
 
 class TestGeoScaling:
@@ -93,22 +92,6 @@ class TestPlanningEdge:
         graph = TimeUnrolledGraph(grid, post, horizon=6)
         right_side = {grid.cell_id(r, c) for r in range(3) for c in (3, 4)}
         assert not right_side & set(int(v) for v in graph.reachable_cells)
-
-    def test_bnb_node_cap_raises(self):
-        from scipy import sparse
-
-        # Cuts off: a root cover cut would make this integral at node 1.
-        solver = BranchAndBoundSolver(max_nodes=1, cuts=False)
-        # A 2-binary problem needing branching: LP relaxation fractional.
-        c = np.array([-1.0, -1.0])
-        a = sparse.csr_matrix(np.array([[1.0, 1.0]]))
-        with pytest.raises(PlanningError):
-            solver.solve(c, a, np.array([-np.inf]), np.array([1.5]),
-                         np.array([True, True]))
-
-    def test_bnb_rejects_bad_config(self):
-        with pytest.raises(ConfigurationError):
-            BranchAndBoundSolver(max_nodes=0)
 
 
 class TestDatasetEdge:

@@ -87,21 +87,30 @@ class TestAgainstEnumeration:
         assert solution.objective_value == pytest.approx(best_pure, abs=1e-5)
 
     def test_mixed_dominates_every_pure_strategy(self, tiny, rng):
-        """With concave utilities the MILP may strictly beat all paths but
-        can never lose to one."""
+        """The MILP may strictly beat all paths but can never lose to one:
+        concave utilities on the default path, and sigmoid (non-concave)
+        ones through the full SOS2 model, which this oracle does not
+        share."""
         __, graph = tiny
         k = 2
         milp = PatrolMILP(graph, n_patrols=k)
         xs = np.linspace(0.0, milp.max_coverage, 6)
-        utilities = {
+        concave = {
             int(v): PiecewiseLinear(xs, rng.random() * (1 - np.exp(-0.6 * xs)))
             for v in graph.reachable_cells
         }
-        solution = milp.solve(utilities)
-        for path in enumerate_paths(graph):
-            assert solution.objective_value >= (
-                pure_strategy_value(graph, utilities, path, k) - 1e-5
-            )
+        sigmoid = {}
+        for v in graph.reachable_cells:
+            mid = xs[-1] * (0.3 + 0.4 * rng.random())
+            raw = 1.0 / (1.0 + np.exp(-1.5 * (xs - mid)))
+            sigmoid[int(v)] = PiecewiseLinear(xs, rng.random() * (raw - raw[0]))
+        assert not all(u.is_concave() for u in sigmoid.values())
+        for utilities, mode in ((concave, "auto"), (sigmoid, "milp")):
+            solution = milp.solve(utilities, mode=mode)
+            for path in enumerate_paths(graph):
+                assert solution.objective_value >= (
+                    pure_strategy_value(graph, utilities, path, k) - 1e-5
+                )
 
 
 @settings(max_examples=8, deadline=None)

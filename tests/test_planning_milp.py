@@ -1,15 +1,13 @@
-"""Tests for repro.planning.milp, branch_and_bound, robust, and paths."""
+"""Tests for repro.planning.milp, robust, and paths."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import sparse
 
-from repro.exceptions import ConfigurationError, InfeasibleError
+from repro.exceptions import ConfigurationError
 from repro.geo import Grid
 from repro.planning import (
-    BranchAndBoundSolver,
     PatrolMILP,
     PiecewiseLinear,
     RobustObjective,
@@ -113,6 +111,19 @@ class TestPatrolMILP:
         with pytest.raises(ConfigurationError):
             PatrolMILP(graph, n_patrols=0)
 
+    def test_loose_mip_gap_stop_reports_highs_gap(self):
+        """A MILP HiGHS stops early reports HiGHS's gap; a pure LP 0."""
+        __, graph, __m, utilities = make_instance(
+            height=6, width=6, horizon=8, n_breakpoints=8, seed=5,
+            concave=False,
+        )
+        milp = PatrolMILP(graph, n_patrols=2, mip_gap=0.5)
+        sol = milp.solve(utilities, mode="milp")
+        assert 0.0 < sol.bound_gap <= 0.5
+        __, __g, lp_milp, concave = make_instance()
+        sol = lp_milp.solve(concave)
+        assert sol.method == "lp" and sol.bound_gap == 0.0
+
 
 class TestLPFastPath:
     def test_lp_matches_milp_on_concave(self):
@@ -167,8 +178,9 @@ class TestLPFastPath:
 
     def test_unknown_mode_rejected(self):
         __, __g, milp, utilities = make_instance()
-        with pytest.raises(ConfigurationError):
-            milp.solve(utilities, mode="simplex")
+        for mode in ("simplex", "bnb"):
+            with pytest.raises(ConfigurationError):
+                milp.solve(utilities, mode=mode)
 
     def test_is_concave_tolerance_is_relative(self):
         """Regression for the Fig. 9 cliff: slope noise scales with slope
@@ -279,89 +291,6 @@ class TestStructureCache:
         assert milp.structure_cache_info() == {
             "hits": 0, "misses": 2, "entries": 2
         }
-
-
-class TestBranchAndBound:
-    def test_simple_knapsack(self):
-        # max 5a + 4b + 3c  s.t. 2a + 3b + c <= 4  (binary) -> a=1, c=1.
-        c = np.array([-5.0, -4.0, -3.0])
-        a_matrix = sparse.csr_matrix(np.array([[2.0, 3.0, 1.0]]))
-        res = BranchAndBoundSolver().solve(
-            c, a_matrix, np.array([-np.inf]), np.array([4.0]),
-            binary_mask=np.array([True, True, True]),
-        )
-        assert res.objective_value == pytest.approx(-8.0)
-        np.testing.assert_allclose(res.x, [1.0, 0.0, 1.0], atol=1e-6)
-
-    def test_mixed_integer(self):
-        # max x + 2z  s.t. x + z <= 1.5, z binary, x continuous in [0,1].
-        c = np.array([-1.0, -2.0])
-        a_matrix = sparse.csr_matrix(np.array([[1.0, 1.0]]))
-        res = BranchAndBoundSolver().solve(
-            c, a_matrix, np.array([-np.inf]), np.array([1.5]),
-            binary_mask=np.array([False, True]),
-        )
-        assert res.objective_value == pytest.approx(-2.5)
-        assert res.x[1] == pytest.approx(1.0)
-
-    def test_infeasible(self):
-        c = np.array([1.0])
-        a_matrix = sparse.csr_matrix(np.array([[1.0]]))
-        with pytest.raises(InfeasibleError):
-            BranchAndBoundSolver().solve(
-                c, a_matrix, np.array([2.0]), np.array([3.0]),
-                binary_mask=np.array([True]),
-            )
-
-    def test_status_optimal_when_stack_exhausted_at_cap(self):
-        """Regression: exhausting the stack exactly at max_nodes is still a
-        complete search, not a node-limit stop."""
-        c = np.array([-5.0, -4.0, -3.0])
-        a_matrix = sparse.csr_matrix(np.array([[2.0, 3.0, 1.0]]))
-        bounds = (np.array([-np.inf]), np.array([4.0]))
-        mask = np.array([True, True, True])
-        # Pin the naive search shape: root cuts would solve this knapsack
-        # at the root, leaving nothing for the cap to interact with.
-        free = BranchAndBoundSolver(strategy="dfs", cuts=False).solve(
-            c, a_matrix, *bounds, binary_mask=mask
-        )
-        assert free.status == "optimal"
-        capped = BranchAndBoundSolver(
-            max_nodes=free.n_nodes_explored, strategy="dfs", cuts=False
-        ).solve(c, a_matrix, *bounds, binary_mask=mask)
-        assert capped.n_nodes_explored == free.n_nodes_explored
-        assert capped.status == "optimal"
-        assert capped.objective_value == pytest.approx(free.objective_value)
-
-    def test_status_node_limit_when_nodes_remain(self):
-        c = np.array([-5.0, -4.0, -3.0])
-        a_matrix = sparse.csr_matrix(np.array([[2.0, 3.0, 1.0]]))
-        bounds = (np.array([-np.inf]), np.array([4.0]))
-        mask = np.array([True, True, True])
-        free = BranchAndBoundSolver(strategy="dfs", cuts=False).solve(
-            c, a_matrix, *bounds, binary_mask=mask
-        )
-        assert free.n_nodes_explored > 2
-        capped = BranchAndBoundSolver(
-            max_nodes=2, strategy="dfs", cuts=False
-        ).solve(c, a_matrix, *bounds, binary_mask=mask)
-        assert capped.status == "node-limit"
-        # Satellite of the solver upgrade: a node-limit exit must carry a
-        # certified bound, not just a status string.
-        assert capped.best_bound <= capped.objective_value
-        assert np.isfinite(capped.best_bound)
-
-    def test_matches_highs_on_patrol_instance(self):
-        """Cross-check the from-scratch solver against HiGHS."""
-        __, graph, milp, utilities = make_instance(
-            height=4, width=4, horizon=4, n_breakpoints=4, concave=False, seed=7
-        )
-        sol_highs = milp.solve(utilities, mode="milp")
-        # Rebuild the same model and solve with our B&B via the internal API.
-        from tests.helpers_milp import solve_patrol_with_bnb
-
-        obj_bnb = solve_patrol_with_bnb(milp, utilities)
-        assert obj_bnb == pytest.approx(sol_highs.objective_value, abs=1e-4)
 
 
 class TestRobustUtility:
