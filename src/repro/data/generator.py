@@ -16,14 +16,14 @@ from repro.data.dataset import PoachingDataset
 from repro.data.park import SyntheticPark
 from repro.data.poachers import PoacherModel
 from repro.data.profiles import ParkProfile
-from repro.data.rangers import PatrolSimulator
+from repro.data.rangers import PatrolRecord, PatrolSimulator
 from repro.data.smart import (
     NON_POACHING_CATEGORIES,
     POACHING_CATEGORIES,
     ObservationRecord,
     SmartDatabase,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DataError
 
 
 @dataclass
@@ -75,10 +75,12 @@ def generate_dataset(
     cell's true effort ``c``; detections become SMART records; and recorded
     effort is rebuilt from (possibly sparse) waypoints.
 
-    When the profile sets ``target_positive_rate``, the simulation is re-run
-    up to ``calibration_iters`` times, shifting the poacher intercept on the
-    log-odds scale, so the positive-label rate lands near the Table I value
-    for every seed (park layouts vary a lot otherwise).
+    When the profile sets ``target_positive_rate``, the poacher side of the
+    simulation is re-run up to ``calibration_iters`` times, shifting the
+    poacher intercept on the log-odds scale, so the positive-label rate
+    lands near the Table I value for every seed (park layouts vary a lot
+    otherwise). Patrols never read the poacher model, so every pass reuses
+    one walk of the patrol history.
 
     Parameters
     ----------
@@ -99,8 +101,9 @@ def generate_dataset(
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
     park = SyntheticPark.generate(profile, seed=seed)
     poachers = PoacherModel(park, seed=seed + 1)
+    history = _walk_patrols(park, profile, seed)
 
-    data = _simulate(park, poachers, profile, seed)
+    data = _simulate(park, poachers, history, seed)
     target = profile.target_positive_rate
     if target is not None:
         for __ in range(calibration_iters):
@@ -113,42 +116,62 @@ def generate_dataset(
             poachers.shift_intercept(
                 np.log(target / (1 - target)) - np.log(observed / (1 - observed))
             )
-            data = _simulate(park, poachers, profile, seed)
+            data = _simulate(park, poachers, history, seed)
     return data
+
+
+#: ``(true_effort, recorded_effort, patrols)`` of one simulated history.
+_PatrolHistory = tuple[np.ndarray, np.ndarray, list[list[PatrolRecord]]]
+
+
+def _walk_patrols(
+    park: SyntheticPark, profile: ParkProfile, seed: int
+) -> _PatrolHistory:
+    """The patrol history: ``(true_effort, recorded_effort, patrols)``.
+
+    Both efforts are ``(T, N)`` km; ``patrols[t]`` lists period ``t``'s
+    patrol records. The walks draw only from their own generator
+    (``seed + 2``) and never read the poacher model, so one history serves
+    every calibration pass exactly.
+    """
+    simulator = PatrolSimulator(park, seed=seed + 2)
+    n_periods = profile.n_periods
+    true_effort = np.zeros((n_periods, park.n_cells))
+    recorded_effort = np.zeros((n_periods, park.n_cells))
+    patrols: list[list[PatrolRecord]] = []
+    for t in range(n_periods):
+        true_effort[t], period_patrols = simulator.simulate_period(t)
+        for patrol in period_patrols:
+            recorded_effort[t] += _patrol_recorded_effort(park, patrol, profile)
+        patrols.append(period_patrols)
+    return true_effort, recorded_effort, patrols
 
 
 def _simulate(
     park: SyntheticPark,
     poachers: PoacherModel,
-    profile: ParkProfile,
+    history: _PatrolHistory,
     seed: int,
 ) -> ParkData:
-    """One deterministic pass of the full simulation loop."""
-    simulator = PatrolSimulator(park, seed=seed + 2)
+    """One calibration pass: attacks, detections, SMART records, dataset."""
+    true_effort, recorded_effort, patrols = history
     event_rng = np.random.default_rng(seed + 3)
     smart = SmartDatabase(park.grid)
 
-    n_periods = profile.n_periods
-    n_cells = park.n_cells
-    true_effort = np.zeros((n_periods, n_cells))
-    recorded_effort = np.zeros((n_periods, n_cells))
+    n_periods, n_cells = true_effort.shape
     attacks = np.zeros((n_periods, n_cells), dtype=bool)
     detections = np.zeros((n_periods, n_cells), dtype=bool)
 
     prev_true = np.zeros(n_cells)
     for t in range(n_periods):
         attacks[t] = poachers.sample_attacks(t, event_rng, prev_effort=prev_true)
-        effort_t, patrols = simulator.simulate_period(t)
-        true_effort[t] = effort_t
-
-        p_detect = poachers.detection_probability(effort_t)
+        p_detect = poachers.detection_probability(true_effort[t])
         detections[t] = attacks[t] & (event_rng.random(n_cells) < p_detect)
 
-        for patrol_id, patrol in enumerate(patrols):
+        for patrol_id, patrol in enumerate(patrols[t]):
             smart.add_patrol(patrol)
-            recorded_effort[t] += _patrol_recorded_effort(park, patrol, profile)
             _emit_records(smart, patrol, patrol_id, detections[t], event_rng)
-        prev_true = effort_t
+        prev_true = true_effort[t]
 
     dataset = _assemble_dataset(park, recorded_effort, detections)
     return ParkData(
@@ -181,37 +204,31 @@ def _patrol_recorded_effort(park: SyntheticPark, patrol, profile: ParkProfile) -
 
 def _emit_records(
     smart: SmartDatabase,
-    patrol,
+    patrol: PatrolRecord,
     patrol_id: int,
     detections_t: np.ndarray,
     rng: np.random.Generator,
 ) -> None:
-    """Turn a patrol's detections (and incidental sightings) into records."""
-    seen: set[int] = set()
-    for cid in patrol.path:
-        if cid in seen:
-            continue
-        seen.add(cid)
+    """Turn a patrol's detections (and incidental sightings) into records.
+
+    A category is drawn as ``rng.integers(len(categories))``, the draw
+    ``rng.choice(categories)`` makes.
+    """
+    for cid in dict.fromkeys(patrol.path):
         if detections_t[cid]:
-            category = str(rng.choice(POACHING_CATEGORIES))
-            smart.add_record(
-                ObservationRecord(
-                    period_index=patrol.period_index,
-                    cell=cid,
-                    category=category,
-                    patrol_id=patrol_id,
-                )
-            )
+            categories = POACHING_CATEGORIES
         elif rng.random() < 0.05:
-            category = str(rng.choice(NON_POACHING_CATEGORIES))
-            smart.add_record(
-                ObservationRecord(
-                    period_index=patrol.period_index,
-                    cell=cid,
-                    category=category,
-                    patrol_id=patrol_id,
-                )
+            categories = NON_POACHING_CATEGORIES
+        else:
+            continue
+        smart.add_record(
+            ObservationRecord(
+                period_index=patrol.period_index,
+                cell=cid,
+                category=categories[rng.integers(len(categories))],
+                patrol_id=patrol_id,
             )
+        )
 
 
 def _assemble_dataset(
@@ -221,34 +238,21 @@ def _assemble_dataset(
 ) -> PoachingDataset:
     """Build the supervised dataset from the simulated history.
 
-    A data point exists for every (period, cell) with recorded effort > 0;
-    the first period is skipped because it lacks a previous-effort
-    covariate.
+    A data point exists for every (period, cell) with recorded effort > 0,
+    in period-then-cell order; the first period is skipped because it lacks
+    a previous-effort covariate.
     """
-    static = park.features.matrix
-    n_periods = recorded_effort.shape[0]
-    rows_static: list[np.ndarray] = []
-    prev_eff: list[float] = []
-    cur_eff: list[float] = []
-    labels: list[int] = []
-    periods: list[int] = []
-    cells: list[int] = []
-    for t in range(1, n_periods):
-        patrolled = np.nonzero(recorded_effort[t] > 0)[0]
-        for cid in patrolled:
-            rows_static.append(static[cid])
-            prev_eff.append(float(recorded_effort[t - 1, cid]))
-            cur_eff.append(float(recorded_effort[t, cid]))
-            labels.append(int(detections[t, cid]))
-            periods.append(t)
-            cells.append(int(cid))
+    periods, cells = np.nonzero(recorded_effort[1:] > 0)
+    if not periods.size:
+        raise DataError("no cell was patrolled after the first period")
+    periods += 1
     return PoachingDataset(
-        static_features=np.asarray(rows_static),
-        prev_effort=np.asarray(prev_eff),
-        current_effort=np.asarray(cur_eff),
-        labels=np.asarray(labels),
-        period=np.asarray(periods),
-        cell=np.asarray(cells),
+        static_features=park.features.matrix[cells],
+        prev_effort=recorded_effort[periods - 1, cells],
+        current_effort=recorded_effort[periods, cells],
+        labels=detections[periods, cells],
+        period=periods,
+        cell=cells,
         periods_per_year=park.profile.periods_per_year,
         feature_names=park.features.names,
         name=park.profile.name,

@@ -15,6 +15,10 @@ from dataclasses import dataclass, field, replace
 
 from repro.exceptions import ConfigurationError
 
+#: Most lattice cells :meth:`ParkProfile.scaled` builds: the largest grid
+#: the serving benchmarks sweep (the stock factors go up to 5/3).
+MAX_SCALED_CELLS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ParkProfile:
@@ -123,15 +127,21 @@ class ParkProfile:
         """A copy with lattice dimensions scaled by ``factor`` (min 6x6).
 
         Useful for fast unit tests (factor < 1) or paper-scale runs
-        (factor > 1).
+        (factor > 1), up to :data:`MAX_SCALED_CELLS` cells.
         """
         if not (factor > 0 and math.isfinite(factor)):
             raise ConfigurationError(
                 f"scale factor must be positive and finite, got {factor}"
             )
-        height = max(6, int(round(self.shape[0] * factor)))
-        width = max(6, int(round(self.shape[1] * factor)))
-        return replace(self, shape=(height, width))
+        # round(x, 0) stays a float, so an overflowing factor is refused
+        # here rather than raising OverflowError in int().
+        height, width = (max(6.0, round(n * factor, 0)) for n in self.shape)
+        if height * width > MAX_SCALED_CELLS:
+            raise ConfigurationError(
+                f"scale factor {factor} builds a lattice of {height:g}x{width:g} "
+                f"cells; at most {MAX_SCALED_CELLS:,} are allowed"
+            )
+        return replace(self, shape=(int(height), int(width)))
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,17 @@ class PatrolSimulator:
         self.rng = np.random.default_rng(seed)
         self.focus = focus
         self._preference = self._build_preference()
-        #: Per-cell neighbour lists, precomputed for walk speed.
+        with np.errstate(over="ignore"):  # refused just below
+            weights = np.exp(focus * self._preference)
+        # A walk step divides by its candidates' weight sum, which must be
+        # finite and positive.
+        if not (np.all(weights > 0) and np.isfinite(weights.sum())):
+            raise ConfigurationError(
+                f"focus={focus} overflows or underflows the patrol weights "
+                "exp(focus * preference)"
+            )
+        #: Per-cell walk weights and neighbour lists, as Python scalars.
+        self._weights: list[float] = weights.tolist()
         self._neighbors: list[list[int]] = [
             park.grid.neighbors(cid, connectivity=4) for cid in range(park.n_cells)
         ]
@@ -108,24 +118,20 @@ class PatrolSimulator:
         walk adds a homeward bias so patrols plausibly end near their post.
         """
         profile = self.park.profile
-        post = int(self.rng.choice(self.park.patrol_posts))
-        length = profile.patrol_length_km
+        posts = self.park.patrol_posts
+        post = int(posts[self.rng.integers(len(posts))])  # = rng.choice(posts)
+        neighbors, weights, step = self._neighbors, self._weights, self._step
         path = [post]
         current = post
-        for __ in range(length - 1):
-            options = self._neighbors[current]
+        for __ in range(profile.patrol_length_km - 1):
+            options = neighbors[current]
             if not options:
                 break
             # Avoid doubling straight back over the last few cells when any
             # fresh neighbour exists — real patrols sweep, they don't pace.
-            recent = set(path[-3:])
-            fresh = [o for o in options if o not in recent]
-            candidates = fresh if fresh else options
-            weights = np.exp(
-                self.focus * np.array([self._preference[o] for o in candidates])
-            )
-            weights /= weights.sum()
-            current = int(self.rng.choice(candidates, p=weights))
+            recent = path[-3:]
+            candidates = [o for o in options if o not in recent] or options
+            current = candidates[step([weights[o] for o in candidates])]
             path.append(current)
         waypoints = path[:: profile.waypoint_interval]
         if waypoints[-1] != path[-1]:
@@ -133,6 +139,28 @@ class PatrolSimulator:
         return PatrolRecord(
             period_index=period_index, post=post, path=path, waypoints=waypoints
         )
+
+    def _step(self, weights: list[float]) -> int:
+        """Index drawn as ``rng.choice(len(weights), p=weights / sum)``.
+
+        Repeats numpy's arithmetic on scalars for one ``rng.random()``
+        double: the left-to-right sum, the normalised weights, their running
+        sum divided by its last entry, and the count of entries <= ``u``.
+        """
+        total = 0.0
+        for w in weights:
+            total += w
+        cdf = []
+        run = 0.0
+        for w in weights:
+            run += w / total
+            cdf.append(run)
+        u = self.rng.random()
+        index = 0
+        for c in cdf:
+            if c / run <= u:
+                index += 1
+        return index
 
     def simulate_period(
         self, period_index: int, n_patrols: int | None = None

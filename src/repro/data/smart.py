@@ -163,11 +163,9 @@ def _lattice_line(grid: Grid, start: int, end: int) -> list[int]:
     while (r, c) != (r1, c1):
         if grid.contains_rc(r, c):
             cells.append(grid.cell_id(r, c))
-        dr = np.sign(r1 - r)
-        dc = np.sign(c1 - c)
         # Move along the axis with the larger remaining gap (ties: rows).
         if abs(r1 - r) >= abs(c1 - c):
-            r += int(dr)
+            r += 1 if r1 > r else -1
         else:
-            c += int(dc)
+            c += 1 if c1 > c else -1
     return cells

@@ -101,7 +101,12 @@ def plan_payload(plan) -> dict:
 
 
 class _HTTPError(ReproError):
-    """Internal: carry an HTTP status + payload up to the handler."""
+    """Internal: carry an HTTP status + payload up to the handler.
+
+    Every payload names its ``kind``, the ``ReproError`` class the library
+    raises for the same fault (an unknown park or route is a
+    ``ConfigurationError``, as in ``ModelRegistry.entry``).
+    """
 
     def __init__(self, status: int, payload: dict, headers: dict | None = None):
         super().__init__(payload.get("error", f"HTTP {status}"))
@@ -371,6 +376,7 @@ class ParkServiceDaemon:
         raise _HTTPError(
             404 if method in ("GET", "POST") else 405,
             {"error": f"no route for {method} {route}",
+             "kind": "ConfigurationError",
              "routes": ["/riskmap", "/plan", "/health", "/ready", "/stats",
                         "/models/<park>/reload"]},
         )
@@ -411,12 +417,14 @@ class ParkServiceDaemon:
             raise _HTTPError(
                 400,
                 {"error": "missing required query parameter 'park'",
+                 "kind": "ConfigurationError",
                  "available": self.registry.available()},
             )
         if not self.registry.has_model(park):
             raise _HTTPError(
                 404,
                 {"error": f"no saved model for park '{park}'",
+                 "kind": "ConfigurationError",
                  "available": self.registry.available()},
             )
         return self.registry.entry(park, deadline=deadline)
@@ -468,6 +476,7 @@ class ParkServiceDaemon:
             raise _HTTPError(
                 404,
                 {"error": f"no saved model for park '{park}'",
+                 "kind": "ConfigurationError",
                  "available": self.registry.available()},
             )
         try:

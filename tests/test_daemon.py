@@ -23,6 +23,7 @@ from repro.exceptions import (
     ConfigurationError,
     DeadlineExceededError,
     PersistenceError,
+    ReproError,
 )
 from repro.runtime import faults
 from repro.runtime.admission import AdmissionGate
@@ -457,14 +458,19 @@ class TestDaemonHTTP:
         assert sum(weights) == pytest.approx(1.0, abs=1e-6)
 
     def test_unknown_park_404_lists_available(self, daemon):
-        status, body = http_get(daemon, "/riskmap?park=YELLOWSTONE")
-        assert status == 404
-        assert body["available"] == ["MFNP"]
+        for route in ("/riskmap", "/plan"):
+            status, body = http_get(daemon, f"{route}?park=YELLOWSTONE")
+            assert status == 404
+            assert body["kind"] == "ConfigurationError"
+            assert body["available"] == ["MFNP"]
 
     def test_missing_park_param_400(self, daemon):
-        status, body = http_get(daemon, "/riskmap")
-        assert status == 400
-        assert "park" in body["error"]
+        for route in ("/riskmap", "/plan"):
+            status, body = http_get(daemon, route)
+            assert status == 400
+            assert "park" in body["error"]
+            assert body["kind"] == "ConfigurationError"
+            assert body["available"] == ["MFNP"]
 
     def test_bad_deadline_values_400(self, daemon):
         for value in ("0", "-3", "banana"):
@@ -477,14 +483,17 @@ class TestDaemonHTTP:
     )
     @pytest.mark.parametrize(
         "query",
-        ["scale=nan", "scale=inf", "seed=-5", "{}=nan", "{}=inf"],
-        ids=["scale-nan", "scale-inf", "seed-negative", "knob-nan", "knob-inf"],
+        ["scale=nan", "scale=inf", "scale=1e308", "seed=-5", "{}=nan",
+         "{}=inf"],
+        ids=["scale-nan", "scale-inf", "scale-huge", "seed-negative",
+             "knob-nan", "knob-inf"],
     )
     def test_hostile_query_values_are_typed_400s(
         self, daemon, route, knob, query
     ):
-        """Non-finite floats and negative seeds: a typed 400, never a 500
-        or a body holding NaN (``http_get`` parses strictly)."""
+        """Non-finite floats, parks past the cell limit and negative seeds:
+        a typed 400, never a 500 or a body holding NaN (``http_get`` parses
+        strictly)."""
         status, body = http_get(
             daemon, f"{route}?park=MFNP&" + query.format(knob)
         )
@@ -492,9 +501,21 @@ class TestDaemonHTTP:
         assert body["kind"] == "ConfigurationError"
 
     def test_unknown_route_404_lists_routes(self, daemon):
-        status, body = http_get(daemon, "/nope")
-        assert status == 404
-        assert "/riskmap" in body["routes"]
+        for status, body in (
+            http_get(daemon, "/nope"), http_post(daemon, "/riskmap")
+        ):
+            assert status == 404
+            assert body["kind"] == "ConfigurationError"
+            assert "/riskmap" in body["routes"]
+
+    def test_unsupported_method_405_is_typed(self, daemon):
+        # The HTTP skin only dispatches GET and POST; the router's 405
+        # branch is reached directly.
+        with pytest.raises(ReproError) as info:
+            daemon._route("DELETE", "/riskmap", {})
+        assert info.value.status == 405
+        assert info.value.payload["kind"] == "ConfigurationError"
+        assert "/riskmap" in info.value.payload["routes"]
 
     def test_reload_bumps_version(self, daemon):
         status, before = http_get(daemon, f"/riskmap?park=MFNP&scale={SCALE}")
@@ -508,8 +529,10 @@ class TestDaemonHTTP:
         assert after["risk"] == before["risk"]  # same model bytes, same map
 
     def test_reload_unknown_park_404(self, daemon):
-        status, __ = http_post(daemon, "/models/YELLOWSTONE/reload")
+        status, body = http_post(daemon, "/models/YELLOWSTONE/reload")
         assert status == 404
+        assert body["kind"] == "ConfigurationError"
+        assert body["available"] == ["MFNP"]
 
     def test_drain_flips_ready_and_health(self, daemon):
         stats = daemon.drain()

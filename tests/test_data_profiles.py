@@ -67,6 +67,14 @@ class TestProfiles:
         with pytest.raises(ConfigurationError, match="finite"):
             MFNP.scaled(factor)
 
+    @pytest.mark.parametrize("factor", [42.0, 1e308])
+    def test_scaled_rejects_lattices_past_the_cell_limit(self, factor):
+        """A factor whose lattice size overflows is refused, not raised as
+        OverflowError."""
+        assert MFNP.scaled(41.67).shape == (1000, 1000)  # exactly at the limit
+        with pytest.raises(ConfigurationError, match="at most 1,000,000"):
+            MFNP.scaled(factor)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ParkProfile(name="x", shape=(8, 8), geometry="hexagon")

@@ -86,6 +86,9 @@ class TestPatrolSimulator:
     def test_bad_focus(self, park):
         with pytest.raises(ConfigurationError):
             PatrolSimulator(park, focus=0.0)
+        # exp(focus * preference) overflows: refused up front, not mid-walk.
+        with pytest.raises(ConfigurationError, match="overflows"):
+            PatrolSimulator(park, focus=1e6)
 
     def test_deterministic(self, park):
         a = PatrolSimulator(park, seed=9).simulate_period(0)[0]
