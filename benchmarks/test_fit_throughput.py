@@ -5,7 +5,7 @@ benchmark guards the train-side rewrites that make *fitting* fast:
 
 * presorted packed-array CART growth — ≥5x faster single-core tree fitting
   on the MFNP-XL training set, with packed arrays and predictions identical
-  to the original recursive builder (kept in ``repro.ml._tree_reference``);
+  to the original recursive builder (kept in ``tests/oracles/tree_reference.py``);
 * the process fitting backend — ``n_jobs=4`` DTB ensemble fits are
   bit-identical to serial, strictly faster when the machine has more than
   one usable core, and never meaningfully slower on a single core (worker
@@ -31,15 +31,14 @@ from repro.core import PawsPredictor
 from repro.data import MFNP, generate_dataset
 from repro.evaluation import format_table
 from repro.geo import Grid
-from repro.geo.distance import (
-    chamfer_distance,
-    chamfer_distance_reference,
-    geodesic_distance,
-    geodesic_distance_reference,
-)
-from repro.ml._tree_reference import reference_fit_arrays
+from repro.geo.distance import chamfer_distance, geodesic_distance
 from repro.ml.tree import DecisionTreeClassifier
 from repro.runtime.parallel import effective_cpu_count
+from tests.oracles.distance_reference import (
+    chamfer_distance_reference,
+    geodesic_distance_reference,
+)
+from tests.oracles.tree_reference import reference_fit_arrays
 
 from conftest import write_report
 

@@ -23,6 +23,7 @@ from repro.core import PawsPredictor
 from repro.data import MFNP, generate_dataset
 from repro.evaluation import format_table
 from repro.runtime import RiskMapService
+from tests.oracles.mixing_reference import per_level_effort_response
 
 from conftest import write_report
 
@@ -71,9 +72,7 @@ def test_batched_serving_engine(benchmark, tmp_path):
 
     # The seed implementation's per-level loop, reconstructed from the
     # public per-level API: every ensemble member re-runs at every effort
-    # level. (`effort_response(batched=False)` no longer does this — it now
-    # shares one member pass with the batched path and only the mixing
-    # differs — so the benchmark keeps the historical loop alive itself.)
+    # level.
     start = time.perf_counter()
     risk_loop = np.stack(
         [fitted.predict_proba(features, effort=float(c)) for c in grid], axis=1
@@ -88,13 +87,16 @@ def test_batched_serving_engine(benchmark, tmp_path):
 
     nu_loop = UncertaintyScaler().fit(var_loop.ravel()).transform(var_loop)
 
-    # The deduplicated per-level fallback must reproduce that loop exactly.
-    risk_pl, nu_pl = fitted.effort_response(features, grid, batched=False)
+    # The per-level reference mixing over one member pass must reproduce
+    # that loop exactly.
+    risk_pl, nu_pl, __ = per_level_effort_response(
+        fitted, fitted.member_pass(features), grid
+    )
     np.testing.assert_array_equal(risk_pl, risk_loop)
     np.testing.assert_array_equal(nu_pl, nu_loop)
 
     def batched():
-        return fitted.effort_response(features, grid, batched=True)
+        return fitted.effort_response(features, grid)
 
     start = time.perf_counter()
     risk_batch, nu_batch = batched()

@@ -20,7 +20,7 @@ Subpackages
 * :mod:`repro.ml` — from-scratch classifiers (trees, bagging, SVM, GP).
 * :mod:`repro.core` — the enhanced iWare-E ensemble (the paper's stage 1).
 * :mod:`repro.planning` — the robust patrol-planning MILP (stage 2).
-* :mod:`repro.runtime` — serving: batched prediction, parallel fitting,
+* :mod:`repro.runtime` — serving: member-pass prediction, parallel fitting,
   model persistence, and the cached :class:`RiskMapService`.
 * :mod:`repro.fieldtest` — field-test design, simulation, and statistics.
 * :mod:`repro.evaluation` — experiment runners and report rendering.

@@ -27,7 +27,6 @@ from repro.core.thresholds import equal_spaced_thresholds, percentile_thresholds
 from repro.core.weights import optimize_ensemble_weights
 from repro.data.dataset import PoachingDataset
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
-from repro.ml.bagging import BaggingClassifier
 from repro.ml.base import Classifier, ConstantClassifier
 
 
@@ -226,71 +225,10 @@ class IWareEnsemble:
         n_jobs: int | None = 1,
         backend: str = "auto",
     ) -> np.ndarray:
-        """``(I, n)`` raw probabilities from every threshold classifier.
-
-        ``tile_size`` / ``n_jobs`` / ``backend`` route the sweep through the
-        ``(member x tile)`` prediction fan-out; any combination is
-        bit-identical to the serial defaults.
-        """
-        from repro.runtime.parallel import predict_map
-
-        self._check_fitted()
-        return np.stack(
-            predict_map(
-                self.classifiers_, X, tile_size=tile_size, n_jobs=n_jobs,
-                backend=backend, method="predict_proba",
-            )
-        )
-
-    def corrected_member_probabilities(
-        self,
-        X: np.ndarray,
-        tile_size: int | None = None,
-        n_jobs: int | None = 1,
-        backend: str = "auto",
-    ) -> np.ndarray:
-        """``(I, n)`` probabilities prior-corrected to the full base rate.
-
-        Each filtered classifier is calibrated to its own subset's positive
-        rate; the odds-ratio correction (Elkan 2001) maps all of them onto
-        the unfiltered prior so they can be mixed on a common scale.
-        """
-        probs = self.member_probabilities(
+        """``(I, n)`` raw probabilities: the first half of :meth:`member_statistics`."""
+        return self.member_statistics(
             X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
-        )
-        assert self.subset_positive_rates_ is not None
-        assert self.full_positive_rate_ is not None
-        return _prior_correct(
-            probs, self.subset_positive_rates_, self.full_positive_rate_
-        )
-
-    def member_variances(
-        self,
-        X: np.ndarray,
-        tile_size: int | None = None,
-        n_jobs: int | None = 1,
-        backend: str = "auto",
-    ) -> np.ndarray:
-        """``(I, n)`` uncertainty from every threshold classifier.
-
-        Bagging weak learners report their members' intrinsic (GP) variance
-        when available, falling back to between-member variance otherwise.
-        """
-        from repro.runtime.parallel import predict_map
-
-        self._check_fitted()
-        methods = [
-            "mean_member_variance"
-            if isinstance(c, BaggingClassifier)
-            else "predict_variance"
-            for c in self.classifiers_
-        ]
-        return np.stack(
-            predict_map(
-                self.classifiers_, X, tile_size=tile_size, n_jobs=n_jobs,
-                backend=backend, method=methods,
-            )
-        )
+        )[0]
 
     def member_statistics(
         self,
@@ -301,15 +239,16 @@ class IWareEnsemble:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(I, n)`` member probabilities and variances from one model pass.
 
-        Equal to ``(member_probabilities(X), member_variances(X))``, but each
-        threshold classifier is visited once (via ``prediction_stats``)
-        instead of twice — bagged GP members in particular solve their latent
-        moments a single time. This is the workhorse of the batched serving
-        path: test rows stream through in ``tile_size``-row tiles (bounding
-        transient memory at ``O(n_train x tile)`` per task) and the
-        ``(member x tile)`` tasks fan out over ``n_jobs`` workers, with the
-        same hint-based ``backend`` auto selection — and the same
-        bit-identity guarantee — as the fitting fan-out.
+        Each threshold classifier is visited once, through its
+        ``prediction_stats``: bagged GP members solve their latent moments a
+        single time, and bagging weak learners report their members'
+        intrinsic (GP) variance when available, the between-member variance
+        otherwise. This is the workhorse of every prediction: test rows
+        stream through in ``tile_size``-row tiles (bounding transient memory
+        at ``O(n_train x tile)`` per task) and the ``(member x tile)`` tasks
+        fan out over ``n_jobs`` workers, with the same hint-based
+        ``backend`` auto selection — and the same bit-identity guarantee —
+        as the fitting fan-out.
         """
         from repro.runtime.parallel import predict_map
 
@@ -405,10 +344,12 @@ class IWareEnsemble:
         """Ensemble probability of detected poaching for each row of ``X``.
 
         One :meth:`member_statistics` pass over ``X`` (model inputs: static
-        features + previous-period effort), then :meth:`mix` at ``effort``.
-        ``tile_size`` / ``n_jobs`` / ``backend`` are the serving fan-out
-        controls; the mixed map is bit-identical for every combination.
+        features + previous-period effort), then :meth:`mix` at ``effort``
+        (``g_v(c)`` at a hypothesised effort ``c >= 0``). ``tile_size`` /
+        ``n_jobs`` / ``backend`` are the serving fan-out controls; the mixed
+        map is bit-identical for every combination.
         """
+        check_effort(effort)
         probs, __ = self.member_statistics(
             X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
         )
@@ -422,25 +363,13 @@ class IWareEnsemble:
         n_jobs: int | None = 1,
         backend: str = "auto",
     ) -> np.ndarray:
-        """Ensemble uncertainty score, mixed like the probabilities."""
-        return self._mix(
-            self.member_variances(
-                X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
-            ),
-            effort,
+        """Ensemble uncertainty score (raw ``nu_v(c)``), mixed like the
+        probabilities but without the prior correction."""
+        check_effort(effort)
+        __, variances = self.member_statistics(
+            X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
         )
-
-    def predict_at_effort(self, X: np.ndarray, effort_km: float) -> np.ndarray:
-        """``g_v(c)``: risk of *detecting* an attack at hypothetical effort c."""
-        if effort_km < 0:
-            raise ConfigurationError(f"effort must be >= 0, got {effort_km}")
-        return self.predict_proba(X, effort=effort_km)
-
-    def variance_at_effort(self, X: np.ndarray, effort_km: float) -> np.ndarray:
-        """``raw nu_v(c)``: uncertainty of the prediction at effort c."""
-        if effort_km < 0:
-            raise ConfigurationError(f"effort must be >= 0, got {effort_km}")
-        return self.predict_variance(X, effort=effort_km)
+        return self._mix(variances, effort)
 
     @property
     def n_thresholds(self) -> int:
@@ -515,6 +444,14 @@ class IWareEnsemble:
             decode_node(child, arrays) for child in node["classifiers"]
         ]
         return ensemble
+
+
+def check_effort(effort: np.ndarray | float | None) -> None:
+    """Refuse a negative hypothesised patrol effort (``None`` is allowed)."""
+    if effort is not None and (np.asarray(effort) < 0).any():
+        raise ConfigurationError(
+            f"effort must be >= 0, got {float(np.min(effort))}"
+        )
 
 
 def _unavailable_weak_learner_factory() -> Classifier:

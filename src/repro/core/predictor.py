@@ -14,7 +14,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.core.ensemble import IWareEnsemble
+from repro.core.ensemble import IWareEnsemble, check_effort
 from repro.core.uncertainty import UncertaintyScaler
 from repro.data.dataset import PoachingDataset
 from repro.data.park import SyntheticPark
@@ -32,12 +32,13 @@ WEAK_LEARNERS = ("svb", "dtb", "gpb")
 
 
 def check_effort_grid(effort_grid) -> np.ndarray:
-    """``effort_grid`` as floats; it must be non-empty, 1-D, nondecreasing."""
+    """``effort_grid`` as floats; it must be non-empty, 1-D, nondecreasing, >= 0."""
     effort_grid = np.asarray(effort_grid, dtype=float)
     if effort_grid.ndim != 1 or effort_grid.size == 0:
         raise ConfigurationError("effort_grid must be a non-empty 1-D array")
     if (np.diff(effort_grid) < 0).any():
         raise ConfigurationError("effort_grid must be nondecreasing")
+    check_effort(effort_grid)
     return effort_grid
 
 
@@ -250,6 +251,7 @@ class PawsPredictor:
         ``(member x tile)`` serving fan-out; results are bit-identical to
         the serial, untiled defaults.
         """
+        check_effort(effort)
         return self.mix_proba(
             self.member_pass(X, tile_size=tile_size, n_jobs=n_jobs, backend=backend),
             effort,
@@ -263,25 +265,19 @@ class PawsPredictor:
         n_jobs: int | None = 1,
         backend: str = "auto",
     ) -> np.ndarray:
-        """Raw (unsquashed) uncertainty of each prediction."""
-        from repro.runtime.parallel import predict_map
+        """Raw (unsquashed) uncertainty of each prediction.
 
-        self._check_fitted()
-        if self._ensemble is not None:
-            return self._ensemble.predict_variance(
-                X, effort=effort,
-                tile_size=tile_size, n_jobs=n_jobs, backend=backend,
-            )
-        assert self._flat_model is not None
-        method = (
-            "mean_member_variance"
-            if isinstance(self._flat_model, BaggingClassifier)
-            else "predict_variance"
+        One :meth:`member_pass`, then its variances mixed at ``effort`` the
+        way :meth:`mix_proba` mixes its probabilities, without the prior
+        correction. Flat models ignore the effort.
+        """
+        check_effort(effort)
+        __, variances = self.member_pass(
+            X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
         )
-        return predict_map(
-            [self._flat_model], X, tile_size=tile_size, n_jobs=n_jobs,
-            backend=backend, method=method,
-        )[0]
+        if self._ensemble is None:
+            return variances
+        return self._ensemble._mix(variances, effort)
 
     def evaluate_auc(self, test: PoachingDataset) -> float:
         """AUC on a held-out dataset (the Table II metric)."""
@@ -308,7 +304,6 @@ class PawsPredictor:
         self,
         features: np.ndarray,
         effort_grid: np.ndarray,
-        batched: bool = True,
         tile_size: int | None = None,
         n_jobs: int | None = 1,
         backend: str = "auto",
@@ -323,12 +318,8 @@ class PawsPredictor:
         features:
             ``(n_cells, k+1)`` model inputs (static + previous effort).
         effort_grid:
-            Increasing effort levels (km) at which to evaluate the model.
-        batched:
-            Mix all effort levels with two matrix products (the serving
-            path). ``False`` mixes level by level instead — same member
-            pass, kept as the per-level reference mixing for equivalence
-            tests.
+            Nondecreasing effort levels (km, >= 0) at which to evaluate the
+            model.
         tile_size, n_jobs, backend:
             Serving fan-out controls: test rows stream through
             ``tile_size``-row tiles (bounding transient memory at
@@ -349,7 +340,6 @@ class PawsPredictor:
                 features, tile_size=tile_size, n_jobs=n_jobs, backend=backend
             ),
             effort_grid,
-            batched=batched,
         )
         return risk, nu
 
@@ -406,12 +396,13 @@ class PawsPredictor:
         self,
         member_pass: tuple[np.ndarray, np.ndarray],
         effort_grid: np.ndarray,
-        batched: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, UncertaintyScaler]:
         """``(g_v(c), nu_v(c), scaler)`` over ``effort_grid`` from one pass.
 
-        Leaves the predictor untouched: the ``UncertaintyScaler`` fitted to
-        squash the raw variances is returned, not stored.
+        All effort levels mix at once (:meth:`IWareEnsemble.mix_grid`, two
+        matrix products). Leaves the predictor untouched: the
+        ``UncertaintyScaler`` fitted to squash the raw variances is
+        returned, not stored.
         """
         self._check_fitted()
         effort_grid = check_effort_grid(effort_grid)
@@ -421,17 +412,8 @@ class PawsPredictor:
             # prediction pass, broadcast across the grid.
             risk = np.repeat(probs[:, None], effort_grid.size, axis=1)
             raw_var = np.repeat(raw_vars[:, None], effort_grid.size, axis=1)
-        elif batched:
-            risk, raw_var = self._ensemble.mix_grid(probs, raw_vars, effort_grid)
         else:
-            risk = np.stack(
-                [self._ensemble._mix(probs, float(c)) for c in effort_grid],
-                axis=1,
-            )
-            raw_var = np.stack(
-                [self._ensemble._mix(raw_vars, float(c)) for c in effort_grid],
-                axis=1,
-            )
+            risk, raw_var = self._ensemble.mix_grid(probs, raw_vars, effort_grid)
         # With zero patrol effort nothing can be detected: the training data
         # only contains patrolled points, so the model has no c=0 regime and
         # g_v(0) must be anchored at 0 (Pr[o=1 | c=0] = 0 by construction).

@@ -111,11 +111,15 @@ class PatrolSimulator:
 
     # ------------------------------------------------------------------
     def simulate_patrol(self, period_index: int) -> PatrolRecord:
-        """One patrol: biased random walk from a random post and back.
+        """One patrol: a biased random walk out from a random post.
 
-        The walk spends ``patrol_length_km`` steps moving between adjacent
-        cells, preferring high-preference neighbours; the last third of the
-        walk adds a homeward bias so patrols plausibly end near their post.
+        The walk visits up to ``patrol_length_km`` cells (the post included),
+        each step moving to an adjacent cell with probability proportional to
+        ``exp(focus * preference)``. Neighbours among the last three cells
+        are skipped while a fresh one exists, and a cell without neighbours
+        ends the walk early. Nothing steers the walk home: it ends wherever
+        its last step lands. Waypoints are every ``waypoint_interval``-th
+        cell plus the last one.
         """
         profile = self.park.profile
         posts = self.park.patrol_posts

@@ -7,8 +7,8 @@ average; :func:`block_mean` aggregates a raster into non-overlapping blocks.
 
 Both hot loops are pure numpy: the k x k window sum is four shifted slices
 of one summed-area table, and the block aggregation is a pad-to-multiple +
-reshape reduction. The original per-cell double loops are retained as
-``*_reference`` implementations and equivalence-tested against the
+reshape reduction. The original per-cell double loops live on in
+``tests/oracles/convolve_reference.py``, equivalence-tested against the
 vectorized paths on ragged, hole-punched rasters.
 """
 
@@ -61,7 +61,8 @@ def _box_sum(raster: np.ndarray, k: int) -> np.ndarray:
     The window sum at ``(r, c)`` is the four-corner difference of the
     integral image; evaluated for all cells at once as four shifted array
     slices, in the same ``a - b - c + d`` order as the per-cell reference —
-    so the result is bit-identical to :func:`_box_sum_reference`.
+    so the result is bit-identical to the per-cell reference loop
+    (``tests/oracles/convolve_reference.py``).
     """
     height, width = raster.shape
     integral = _integral_image(raster, k)
@@ -73,24 +74,6 @@ def _box_sum(raster: np.ndarray, k: int) -> np.ndarray:
     )
 
 
-def _box_sum_reference(raster: np.ndarray, k: int) -> np.ndarray:
-    """Per-cell reference for :func:`_box_sum` (the original double loop)."""
-    height, width = raster.shape
-    integral = _integral_image(raster, k)
-    out = np.empty((height, width))
-    for r in range(height):
-        for c in range(width):
-            r0, c0 = r, c
-            r1, c1 = r + k, c + k
-            out[r, c] = (
-                integral[r1, c1]
-                - integral[r0, c1]
-                - integral[r1, c0]
-                + integral[r0, c0]
-            )
-    return out
-
-
 def block_mean(raster: np.ndarray, block: int) -> np.ndarray:
     """NaN-aware mean over non-overlapping ``block x block`` tiles.
 
@@ -100,8 +83,9 @@ def block_mean(raster: np.ndarray, block: int) -> np.ndarray:
     Implemented by NaN-padding the raster up to a multiple of ``block`` and
     reducing a ``(out_h, block, out_w, block)`` reshape: the pad cells are
     non-finite, so they drop out of both the sums and the counts exactly
-    like the holes do — NaN semantics identical to
-    :func:`block_mean_reference`, values equal up to summation order.
+    like the holes do — NaN semantics identical to the per-tile reference
+    loop (``tests/oracles/convolve_reference.py``), values equal up to
+    summation order.
     """
     raster = np.asarray(raster, dtype=float)
     if raster.ndim != 2:
@@ -120,24 +104,4 @@ def block_mean(raster: np.ndarray, block: int) -> np.ndarray:
     out = np.full((out_h, out_w), np.nan)
     has_data = counts > 0
     out[has_data] = sums[has_data] / counts[has_data]
-    return out
-
-
-def block_mean_reference(raster: np.ndarray, block: int) -> np.ndarray:
-    """Per-tile reference for :func:`block_mean` (the original double loop)."""
-    raster = np.asarray(raster, dtype=float)
-    if raster.ndim != 2:
-        raise ConfigurationError(f"raster must be 2-D, got shape {raster.shape}")
-    if block < 1:
-        raise ConfigurationError(f"block must be >= 1, got {block}")
-    height, width = raster.shape
-    out_h = (height + block - 1) // block
-    out_w = (width + block - 1) // block
-    out = np.full((out_h, out_w), np.nan)
-    for br in range(out_h):
-        for bc in range(out_w):
-            tile = raster[br * block : (br + 1) * block, bc * block : (bc + 1) * block]
-            finite = np.isfinite(tile)
-            if finite.any():
-                out[br, bc] = tile[finite].mean()
     return out

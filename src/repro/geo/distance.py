@@ -7,11 +7,11 @@ transform; :func:`geodesic_distance` provides in-park travel distances on the
 4-connected cell graph, used by the patrol simulator.
 
 Both transforms are O(n) row-sweep/frontier algorithms. They started life as
-per-cell Python loops (kept in :func:`chamfer_distance_reference` and
-:func:`geodesic_distance_reference` as the executable specification); the
-production versions below are exact-equivalent rewrites — bit-identical
-output, regression-tested in ``tests/test_geo_distance.py`` — that vectorise
-everything except the inherently sequential in-row chamfer propagation:
+per-cell Python loops (kept in ``tests/oracles/distance_reference.py`` as
+the executable specification); the production versions below are
+exact-equivalent rewrites — bit-identical output, regression-tested in
+``tests/test_geo_distance.py`` — that vectorise everything except the
+inherently sequential in-row chamfer propagation:
 
 * **chamfer** — the vertical/diagonal relaxations against the previous row
   are elementwise and run as whole-row numpy operations; the left-to-right
@@ -29,12 +29,10 @@ everything except the inherently sequential in-row chamfer propagation:
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.geo.grid import ROOK_OFFSETS, Grid
+from repro.geo.grid import Grid
 
 #: Chamfer weights approximating Euclidean distance on a lattice (3-4 mask
 #: normalised so that a rook step costs 1 cell).
@@ -47,8 +45,8 @@ def chamfer_distance(mask: np.ndarray, cell_km: float = 1.0) -> np.ndarray:
 
     Two-pass chamfer transform with the 3-4 mask, accurate to a few percent,
     which is ample for synthetic features on a 1 km grid. Bit-identical to
-    :func:`chamfer_distance_reference`, roughly an order of magnitude faster
-    on benchmark-sized grids.
+    the per-cell reference in ``tests/oracles/distance_reference.py``,
+    roughly an order of magnitude faster on benchmark-sized grids.
 
     Parameters
     ----------
@@ -104,48 +102,6 @@ def chamfer_distance(mask: np.ndarray, cell_km: float = 1.0) -> np.ndarray:
     return dist * cell_km
 
 
-def chamfer_distance_reference(mask: np.ndarray, cell_km: float = 1.0) -> np.ndarray:
-    """Per-cell double-loop chamfer transform (the executable specification).
-
-    Kept verbatim from the original implementation so equivalence tests and
-    benchmarks can compare :func:`chamfer_distance` against it.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ConfigurationError(f"mask must be 2-D, got shape {mask.shape}")
-    height, width = mask.shape
-    inf = float(height + width) * 2.0 * _DIAG_COST
-    dist = np.where(mask, 0.0, inf)
-
-    # Forward pass: scan top-left to bottom-right.
-    for r in range(height):
-        for c in range(width):
-            d = dist[r, c]
-            if r > 0:
-                d = min(d, dist[r - 1, c] + _ORTHO_COST)
-                if c > 0:
-                    d = min(d, dist[r - 1, c - 1] + _DIAG_COST)
-                if c < width - 1:
-                    d = min(d, dist[r - 1, c + 1] + _DIAG_COST)
-            if c > 0:
-                d = min(d, dist[r, c - 1] + _ORTHO_COST)
-            dist[r, c] = d
-    # Backward pass: scan bottom-right to top-left.
-    for r in range(height - 1, -1, -1):
-        for c in range(width - 1, -1, -1):
-            d = dist[r, c]
-            if r < height - 1:
-                d = min(d, dist[r + 1, c] + _ORTHO_COST)
-                if c > 0:
-                    d = min(d, dist[r + 1, c - 1] + _DIAG_COST)
-                if c < width - 1:
-                    d = min(d, dist[r + 1, c + 1] + _DIAG_COST)
-            if c < width - 1:
-                d = min(d, dist[r, c + 1] + _ORTHO_COST)
-            dist[r, c] = d
-    return dist * cell_km
-
-
 def _check_sources(grid: Grid, sources: np.ndarray | list[int]) -> np.ndarray:
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     if sources.size == 0:
@@ -167,7 +123,8 @@ def geodesic_distance(grid: Grid, sources: np.ndarray | list[int]) -> np.ndarray
     breadth-first search: each level is one boolean frontier dilation over the
     full lattice (four shifted masks), and the level distance accumulates by
     repeated addition exactly as the heap-based reference accumulates it along
-    a shortest path. Bit-identical to :func:`geodesic_distance_reference`.
+    a shortest path. Bit-identical to the heap-based reference in
+    ``tests/oracles/distance_reference.py``.
 
     Parameters
     ----------
@@ -204,35 +161,3 @@ def geodesic_distance(grid: Grid, sources: np.ndarray | list[int]) -> np.ndarray
         frontier, grow = grow, frontier
         d = d + step
     return dist_raster[cells[:, 0], cells[:, 1]]
-
-
-def geodesic_distance_reference(
-    grid: Grid, sources: np.ndarray | list[int]
-) -> np.ndarray:
-    """Heap-based Dijkstra geodesic distance (the executable specification).
-
-    Kept verbatim from the original implementation so equivalence tests and
-    benchmarks can compare :func:`geodesic_distance` against it.
-    """
-    sources = _check_sources(grid, sources)
-    dist = np.full(grid.n_cells, np.inf)
-    heap: list[tuple[float, int]] = []
-    for s in sources:
-        dist[s] = 0.0
-        heapq.heappush(heap, (0.0, int(s)))
-    step = grid.cell_km
-    while heap:
-        d, cid = heapq.heappop(heap)
-        if d > dist[cid]:
-            continue
-        row, col = grid.cell_rc(cid)
-        for dr, dc in ROOK_OFFSETS:
-            r, c = row + dr, col + dc
-            if not grid.contains_rc(r, c):
-                continue
-            nid = grid.cell_id(r, c)
-            nd = d + step
-            if nd < dist[nid]:
-                dist[nid] = nd
-                heapq.heappush(heap, (nd, nid))
-    return dist

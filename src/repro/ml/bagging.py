@@ -244,23 +244,11 @@ class BaggingClassifier(Classifier):
         The paper's Fig. 7 uses this heuristic ("the variance between
         predictions made by the bagged learners") and shows it is nearly a
         deterministic function of the prediction itself — i.e. a poor
-        uncertainty signal. When the base learner is a GP, the intrinsic GP
-        variance is averaged in instead (and ``supports_variance`` is set by
-        the caller via :meth:`mean_member_variance`).
+        uncertainty signal. The serving path reads :meth:`prediction_stats`
+        instead, which averages the members' intrinsic (GP) variances when
+        they have them.
         """
         return self.member_probabilities(X).var(axis=0)
-
-    def mean_member_variance(self, X: np.ndarray) -> np.ndarray:
-        """Average the members' intrinsic variances (GP weak learners).
-
-        Falls back to the between-member variance when no member exposes an
-        intrinsic uncertainty.
-        """
-        X = self._check_predict_input(X)
-        intrinsic = [m for m in self.estimators_ if m.supports_variance]
-        if not intrinsic:
-            return self.predict_variance(X)
-        return np.stack([m.predict_variance(X) for m in intrinsic]).mean(axis=0)
 
     def prediction_stats(
         self,
@@ -269,15 +257,16 @@ class BaggingClassifier(Classifier):
         n_jobs: int | None = 1,
         backend: str = "auto",
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Mean probability and :meth:`mean_member_variance` in one sweep.
+        """Mean probability and member variance, visiting each member once.
 
-        Separate ``predict_proba`` + ``mean_member_variance`` calls run every
-        member twice (and GP members re-solve their latent moments each
-        time); this visits each member once via its own ``prediction_stats``.
-        ``tile_size`` / ``n_jobs`` / ``backend`` fan the ``(member x tile)``
-        sweep out through :func:`repro.runtime.parallel.predict_map` — tiled
-        and parallel results are bit-identical to the serial defaults, and
-        per-member transient memory stays ``O(n_train x tile_size)``.
+        The variance is the mean of the members' intrinsic variances when at
+        least one member reports one (``supports_variance``: GP weak
+        learners), and the between-member variance of the probabilities
+        otherwise. ``tile_size`` / ``n_jobs`` / ``backend`` fan the
+        ``(member x tile)`` sweep out through
+        :func:`repro.runtime.parallel.predict_map` — tiled and parallel
+        results are bit-identical to the serial defaults, and per-member
+        transient memory stays ``O(n_train x tile_size)``.
         """
         from repro.runtime.parallel import predict_map
 
@@ -296,11 +285,6 @@ class BaggingClassifier(Classifier):
         if intrinsic:
             return mean, np.stack(intrinsic).mean(axis=0)
         return mean, member_probs.var(axis=0)
-
-    @property
-    def has_intrinsic_variance(self) -> bool:
-        """Whether at least one member reports model-intrinsic uncertainty."""
-        return any(m.supports_variance for m in self.estimators_)
 
     # ------------------------------------------------------------------
     def _config_manifest(self) -> dict:

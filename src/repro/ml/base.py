@@ -140,10 +140,11 @@ class Classifier(ABC):
     def prediction_stats(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(probability, variance)`` for each row, in one model pass.
 
-        Equal to ``(predict_proba(X), predict_variance(X))`` — but models
-        whose probability and variance share expensive intermediates (GP
-        latent moments, bagging member sweeps) override this to compute both
-        from a single pass. The batched serving path is built on it.
+        By default ``(predict_proba(X), predict_variance(X))``; models whose
+        probability and variance share expensive intermediates (GP latent
+        moments, bagging member sweeps) override this to compute both from
+        a single pass. Every prediction the package serves is built on it
+        (:func:`repro.runtime.parallel.predict_map`).
         """
         return self.predict_proba(X), self.predict_variance(X)
 

@@ -147,42 +147,23 @@ class GaussianProcessClassifier(Classifier):
         )
 
     # ------------------------------------------------------------------
-    def _latent_moments(
-        self, X: np.ndarray, tile_size: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Latent predictive mean and variance (R&W Alg. 3.2).
-
-        With ``tile_size``, test rows stream through in fixed-size tiles so
-        the transient allocations (the ``(n_train, tile)`` cross-kernel slab
-        and its triangular-solve workspace) never exceed
-        ``O(n_train x tile_size)`` — the full ``(n_train, n_test)`` matrix is
-        never materialised. Every statistic is computed independently per
-        test row, so the tiled result is bit-identical to the one-pass one.
-        """
-        from repro.runtime.parallel import tile_slices
-
-        X = self._check_predict_input(X)
-        slices = tile_slices(X.shape[0], tile_size)
-        if len(slices) == 1:
-            return self._tile_latent_moments(X)
-        mean = np.empty(X.shape[0])
-        var = np.empty(X.shape[0])
-        for sl in slices:
-            mean[sl], var[sl] = self._tile_latent_moments(X[sl])
-        return mean, var
-
-    #: Narrow tiles are zero-padded to this many rows before the BLAS calls:
+    #: Narrow inputs are zero-padded to this many rows before the BLAS calls:
     #: kernels selected for very small operand widths accumulate in a
-    #: different order than the wide ones, and the tiled-serving contract is
-    #: that the tile size never changes a bit of the output. Padding rows
-    #: are computed and discarded; every real row's result depends only on
-    #: its own column of the cross-kernel, so the pad cannot perturb it.
+    #: different order than the wide ones, and the tiled-serving contract
+    #: (:func:`repro.runtime.parallel.predict_map`) is that the tile size
+    #: never changes a bit of the output. Padding rows are computed and
+    #: discarded; every real row's result depends only on its own column of
+    #: the cross-kernel, so the pad cannot perturb it.
     _MIN_TILE_ROWS = 8
 
-    def _tile_latent_moments(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One tile of Alg. 3.2: scale, cross-kernel, solve — per test row."""
+    def _latent_moments(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Latent predictive mean and variance (R&W Alg. 3.2), per test row.
+
+        Transient memory is the ``(n_train, n_test)`` cross-kernel slab and
+        its triangular-solve workspace; callers bound it by tiling the rows
+        through :func:`repro.runtime.parallel.predict_map`.
+        """
+        X = self._check_predict_input(X)
         assert self._X_train is not None and self._fitted_kernel is not None
         assert self._grad_at_mode is not None and self._sqrt_w is not None
         assert self._chol_b is not None
@@ -192,7 +173,7 @@ class GaussianProcessClassifier(Classifier):
                 [X, np.zeros((self._MIN_TILE_ROWS - n, X.shape[1]))]
             )
         Xs = self._scaler.transform(X)
-        k_star = self._fitted_kernel(self._X_train, Xs)  # (n_train, tile)
+        k_star = self._fitted_kernel(self._X_train, Xs)  # (n_train, n_test)
         # einsum keeps the reduction over the training rows in a fixed
         # order for every tile width, unlike the width-specialised GEMV.
         mean = np.einsum("ij,i->j", k_star, self._grad_at_mode)
@@ -200,35 +181,29 @@ class GaussianProcessClassifier(Classifier):
         var = self._fitted_kernel.diag(Xs) + self.jitter - np.einsum("ij,ij->j", v, v)
         return mean[:n], np.maximum(var[:n], 0.0)
 
-    def predict_proba(
-        self, X: np.ndarray, tile_size: int | None = None
-    ) -> np.ndarray:
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Averaged predictive probability via the probit approximation.
 
         ``E[sigma(f*)] ~= sigma(mean / sqrt(1 + pi * var / 8))`` (MacKay 1992)
         integrates the logistic over the latent Gaussian.
         """
-        mean, var = self._latent_moments(X, tile_size=tile_size)
+        mean, var = self._latent_moments(X)
         kappa = 1.0 / np.sqrt(1.0 + np.pi * var / 8.0)
         return _stable_sigmoid(kappa * mean)
 
-    def predict_variance(
-        self, X: np.ndarray, tile_size: int | None = None
-    ) -> np.ndarray:
+    def predict_variance(self, X: np.ndarray) -> np.ndarray:
         """Latent predictive variance — the paper's uncertainty metric."""
-        __, var = self._latent_moments(X, tile_size=tile_size)
+        __, var = self._latent_moments(X)
         return var
 
-    def prediction_stats(
-        self, X: np.ndarray, tile_size: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def prediction_stats(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Probability and variance from a single latent-moments pass.
 
         Separate ``predict_proba`` / ``predict_variance`` calls each solve
         the (n_train × n_test) triangular system; serving paths that need
         both should use this instead.
         """
-        mean, var = self._latent_moments(X, tile_size=tile_size)
+        mean, var = self._latent_moments(X)
         kappa = 1.0 / np.sqrt(1.0 + np.pi * var / 8.0)
         return _stable_sigmoid(kappa * mean), var
 

@@ -12,8 +12,8 @@ representation (preorder ``feature`` / ``threshold`` / ``probability`` /
 already used — there is no per-node Python object on any hot path. Two
 builders share that format, both *contract-bound to reproduce the original
 recursive implementation exactly* (identical packed arrays, identical
-predictions, identical RNG consumption — golden-tested against
-:mod:`repro.ml._tree_reference`):
+predictions, identical RNG consumption — golden-tested against the
+original builder kept in ``tests/oracles/tree_reference.py``):
 
 * **level-wise** (``max_features=None``): every feature is argsorted once at
   the root and the sorted index arrays are threaded through a breadth-first

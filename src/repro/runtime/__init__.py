@@ -1,4 +1,4 @@
-"""The serving layer: batched prediction, parallel fitting, persistence.
+"""The serving layer: member-pass prediction, parallel fitting, persistence.
 
 The predictive stage (``repro.core``) answers one question at a time; this
 package turns it into a serving engine for the deployment workloads of

@@ -28,6 +28,9 @@ Endpoints (all JSON)::
     GET  /health        GET /ready        GET /stats
     POST /models/<park>/reload
 
+PUT, DELETE, PATCH and OPTIONS get a 405 naming the routes; HEAD keeps the
+stdlib's bodiless 501.
+
 Responses carry float64 values through ``repr``-round-tripping JSON, so an
 admitted ``/riskmap`` body is **bit-identical** to the direct library
 call's array — the chaos suite asserts exactly that.
@@ -129,11 +132,14 @@ class _Handler(BaseHTTPRequestHandler):
                 "%s - %s\n" % (self.address_string(), fmt % args)
             )
 
-    def do_GET(self):  # noqa: N802 - stdlib dispatch name
-        self.server.daemon_ref.dispatch(self, "GET")
+    def _dispatch(self):
+        self.server.daemon_ref.dispatch(self, self.command)
 
-    def do_POST(self):  # noqa: N802 - stdlib dispatch name
-        self.server.daemon_ref.dispatch(self, "POST")
+    # Every method with a route or a 405 goes through dispatch, so its
+    # answer is JSON with a ``kind``. HEAD stays with the stdlib (a bodiless
+    # 501): a 405 body on HEAD would break keep-alive framing.
+    do_GET = do_POST = _dispatch  # noqa: N815 - stdlib dispatch names
+    do_PUT = do_DELETE = do_PATCH = do_OPTIONS = _dispatch  # noqa: N815
 
 
 class _Server(ThreadingHTTPServer):
@@ -332,6 +338,11 @@ class ParkServiceDaemon:
             status = 500
             payload = {"error": str(exc), "kind": type(exc).__name__}
             headers = {}
+        if (handler.headers.get("Content-Length", "0").strip() != "0"
+                or "Transfer-Encoding" in handler.headers):
+            # No route reads a request body, so its bytes would be parsed as
+            # the next request on a keep-alive connection: close it instead.
+            headers = {**headers, "Connection": "close"}
         self._respond(handler, status, payload, headers)
 
     @staticmethod

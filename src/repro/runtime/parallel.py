@@ -13,11 +13,13 @@ bit-identical to serial ones — with any backend.
 
 Prediction is even easier: a fitted model is read-only state and every test
 row is independent, so *serving* fans out over ``(member x tile)`` tasks
-with no phase split at all (:func:`predict_map`). Tiling the test rows
-serves a second purpose beyond parallelism: each task's transient
-allocations (a GP member's ``(n_train x tile)`` kernel slab, a tree's
-per-level index lanes) are bounded by the tile size instead of the full
-query, which is what keeps million-cell risk maps memory-bounded.
+with no phase split at all (:func:`predict_map`). Each task runs its
+model's ``prediction_stats``, so every probability and variance the
+package serves is one such sweep followed by a mix at the hypothesised
+effort. :func:`predict_map` is also the package's only tiler: each task's
+transient allocations (a GP member's ``(n_train x tile)`` kernel slab, a
+tree's per-level index lanes) are bounded by the tile size instead of the
+full query, which is what keeps million-cell risk maps memory-bounded.
 
 Two pool backends are available, because the fanned workloads split into two
 classes:
@@ -286,7 +288,7 @@ def tile_slices(n: int, tile_size: int | None) -> list[slice]:
 class PredictTask:
     """One ``(member, tile)`` unit of a prediction fan-out.
 
-    A zero-argument callable invoking ``getattr(model, method)(X_tile)``.
+    A zero-argument callable returning ``model.prediction_stats(X_tile)``.
     Models are fitted and read-only, rows are independent, so tasks need no
     phase split; they pickle whenever the model does (``X_tile`` is a view
     that serialises as just the tile). ``backend_hint`` advertises the
@@ -295,29 +297,16 @@ class PredictTask:
     BLAS-heavy members (GPs) to threads — mirroring the fitting fan-out.
     """
 
-    def __init__(self, model, X, method: str = "prediction_stats"):
+    def __init__(self, model, X):
         self.model = model
         self.X = X
-        self.method = method
 
     @property
     def backend_hint(self) -> str:
         return getattr(self.model, "predict_backend_hint", "thread")
 
     def __call__(self):
-        return getattr(self.model, self.method)(self.X)
-
-
-def _assemble(chunks: list):
-    """Concatenate one model's per-tile results back into full arrays."""
-    if len(chunks) == 1:
-        return chunks[0]
-    if isinstance(chunks[0], tuple):
-        return tuple(
-            np.concatenate([chunk[i] for chunk in chunks])
-            for i in range(len(chunks[0]))
-        )
-    return np.concatenate(chunks)
+        return self.model.prediction_stats(self.X)
 
 
 def predict_map(
@@ -326,23 +315,23 @@ def predict_map(
     tile_size: int | None = None,
     n_jobs: int | None = 1,
     backend: str = "auto",
-    method: str | Sequence[str] = "prediction_stats",
     deadline: "Deadline | float | None" = None,
-) -> list:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Tiled, parallel prediction over fitted models — bit-identical to serial.
 
     Schedules one :class:`PredictTask` per ``(model, tile)`` pair through
     :func:`run_deferred` and reassembles each model's tiles in order, so the
-    result equals ``[getattr(m, method)(X) for m in models]`` exactly: every
+    result equals ``[m.prediction_stats(X) for m in models]`` exactly: every
     per-row statistic the package serves (GP latent moments, tree paths,
     bagging member mixtures) is computed row-independently, and tiles are
     concatenated in input order, so neither the tile size, the pool flavour,
-    nor a worker-crash recovery can change a single bit of the output.
+    nor a worker-crash recovery can change a single bit of the output. This
+    is the package's only tiler.
 
     Parameters
     ----------
     models:
-        Fitted predictors; each needs the requested ``method``.
+        Fitted predictors exposing ``prediction_stats``.
     X:
         ``(n, k)`` test rows, tiled along axis 0.
     tile_size:
@@ -356,10 +345,6 @@ def predict_map(
         the compact packed-array models that vote for it (trees), while
         the BLAS-heavy models that would be expensive to ship vote for
         threads and are shared by reference.
-    method:
-        Bound-method name to call per task (default ``"prediction_stats"``),
-        or one name per model (e.g. mixing ``"mean_member_variance"`` for
-        bagging members with ``"predict_variance"`` for plain ones).
     deadline:
         Optional budget (seconds or a shared
         :class:`~repro.runtime.resilience.Deadline`) for the whole serve;
@@ -367,32 +352,25 @@ def predict_map(
 
     Returns
     -------
-    One entry per model: the assembled return value of its ``method``
-    (an array, or a tuple of arrays for ``"prediction_stats"``).
+    One ``(probabilities, variances)`` pair per model.
     """
     check_backend(backend)
     models = list(models)
-    methods = (
-        [method] * len(models)
-        if isinstance(method, str)
-        else [str(m) for m in method]
-    )
-    if len(methods) != len(models):
-        raise ConfigurationError(
-            f"got {len(methods)} methods for {len(models)} models"
-        )
     X = np.asarray(X)
     slices = tile_slices(X.shape[0], tile_size)
-    tasks = [
-        PredictTask(model, X[sl], name)
-        for model, name in zip(models, methods)
-        for sl in slices
-    ]
+    tasks = [PredictTask(model, X[sl]) for model in models for sl in slices]
     results = run_deferred(
         tasks, n_jobs=n_jobs, backend=backend, deadline=deadline
     )
     n_tiles = len(slices)
+    if n_tiles == 1:
+        return results
+    per_model = [
+        results[start : start + n_tiles]
+        for start in range(0, len(results), n_tiles)
+    ]
     return [
-        _assemble(results[i * n_tiles : (i + 1) * n_tiles])
-        for i in range(len(models))
+        (np.concatenate([p for p, __ in tiles]),
+         np.concatenate([v for __, v in tiles]))
+        for tiles in per_model
     ]

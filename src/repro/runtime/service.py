@@ -6,8 +6,9 @@ effort-response surfaces, dashboards re-render the same maps, and planners
 re-solve under different robustness weights. :class:`RiskMapService` wraps a
 fitted :class:`~repro.core.predictor.PawsPredictor` with
 
-* the **batched** effort-response path (one ensemble pass per request
-  instead of one per effort level),
+* **one member pass, then a mix**: the effort-independent model pass
+  (:meth:`~repro.core.predictor.PawsPredictor.member_pass`) mixed at one
+  effort or, for an effort grid, at every level at once,
 * the **tiled, parallel** prediction engine (``tile_size`` bounds transient
   memory at ``O(n_train x tile)``; ``n_jobs`` spreads ``(member x tile)``
   tasks over the hint-selected pool — surfaces are bit-identical to the
@@ -17,12 +18,15 @@ fitted :class:`~repro.core.predictor.PawsPredictor` with
   dictionary lookup,
 * **feature registration**: parks whose feature matrix is served over and
   over register it once (:meth:`register_features`), paying the SHA-256
-  content hash at registration instead of on every query, and
-* a **member-pass memo** per registration: the effort-independent model
-  pass (:meth:`~repro.core.predictor.PawsPredictor.member_pass`) runs on
-  the registration's first cache miss, and every later miss — any effort,
-  any grid — is only a mix over it, through the same functions as the
-  direct ``predict_proba`` / ``effort_response`` calls.
+  content hash at registration instead of on every query,
+* a **member-pass memo** per registration: the pass runs on the
+  registration's first cache miss, and every later miss — any effort, any
+  grid — is only a mix over it, through the same functions as the direct
+  ``predict_proba`` / ``effort_response`` calls, and
+* **input checks up front**: a negative effort, or an effort grid that is
+  empty, decreasing or negative, raises
+  :class:`~repro.exceptions.ConfigurationError` before any cache lookup or
+  model pass.
 
 Combined with model persistence, this is the "serve without refit" workload::
 
@@ -41,6 +45,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.core.ensemble import check_effort
 from repro.core.predictor import PawsPredictor, check_effort_grid
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.runtime.concurrency import thread_shared
@@ -320,7 +325,7 @@ class RiskMapService:
         deadline: float | None = None,
         backend: str | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Cached batched ``(g_v(c), nu_v(c))`` surfaces for planner input.
+        """Cached ``(g_v(c), nu_v(c))`` surfaces for planner input.
 
         ``features`` is a matrix, a registered array, or a token from
         :meth:`register_features`. Returns copies, so callers may mutate the
@@ -339,8 +344,8 @@ class RiskMapService:
         (the daemon's degraded-dispatch path). Results are bit-identical
         across backends, so the cache key is unchanged.
         """
-        array, feature_key, name = self._resolve_features(features)
         effort_grid = check_effort_grid(effort_grid)
+        array, feature_key, name = self._resolve_features(features)
         key = self._key("effort_response", feature_key, effort_grid)
         chosen_backend = self.backend if backend is None else check_backend(backend)
 
@@ -367,8 +372,10 @@ class RiskMapService:
         value conditions on that hypothetical patrol effort, as in the
         Fig. 6 risk maps. ``features`` may be a token, as in
         :meth:`effort_response`; ``deadline`` bounds a cache miss's member
-        pass and ``backend`` overrides the pool flavour the same way.
+        pass and ``backend`` overrides the pool flavour the same way. A
+        negative ``effort`` is refused before any cache lookup or model pass.
         """
+        check_effort(effort)
         array, feature_key, name = self._resolve_features(features)
         effort_tag = "none" if effort is None else repr(float(effort))
         key = self._key(f"risk_map/{effort_tag}", feature_key)

@@ -8,7 +8,7 @@ on boolean-masked copies of ``X``. The rewrite is contract-bound to produce
 consumption), so the old builder lives on here for the golden equivalence
 tests in ``tests/test_tree_golden.py`` and the fit-throughput benchmark.
 
-Nothing in the package imports this module on a hot path.
+Nothing in the package imports this module.
 """
 
 from __future__ import annotations

@@ -65,17 +65,17 @@ class TestIWareEnsemble:
         ens = IWareEnsemble(dtb_factory(), n_classifiers=6,
                             rng=np.random.default_rng(0)).fit(split.train)
         X = split.test.feature_matrix[:20]
-        g_low = ens.predict_at_effort(X, 0.5)
-        g_high = ens.predict_at_effort(X, 8.0)
+        g_low = ens.predict_proba(X, effort=0.5)
+        g_high = ens.predict_proba(X, effort=8.0)
         assert not np.allclose(g_low, g_high)
 
     def test_negative_effort_rejected(self, split):
         ens = IWareEnsemble(dtb_factory(), n_classifiers=4,
                             rng=np.random.default_rng(0)).fit(split.train)
         with pytest.raises(ConfigurationError):
-            ens.predict_at_effort(split.test.feature_matrix[:2], -1.0)
+            ens.predict_proba(split.test.feature_matrix[:2], effort=-1.0)
         with pytest.raises(ConfigurationError):
-            ens.variance_at_effort(split.test.feature_matrix[:2], -1.0)
+            ens.predict_variance(split.test.feature_matrix[:2], effort=-1.0)
 
     def test_qualified_weighting_mode(self, split):
         ens = IWareEnsemble(dtb_factory(), n_classifiers=5, weighting="qualified",

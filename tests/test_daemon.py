@@ -8,6 +8,7 @@ contracts and the unit semantics of each new runtime piece.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -23,7 +24,6 @@ from repro.exceptions import (
     ConfigurationError,
     DeadlineExceededError,
     PersistenceError,
-    ReproError,
 )
 from repro.runtime import faults
 from repro.runtime.admission import AdmissionGate
@@ -484,16 +484,16 @@ class TestDaemonHTTP:
     @pytest.mark.parametrize(
         "query",
         ["scale=nan", "scale=inf", "scale=1e308", "seed=-5", "{}=nan",
-         "{}=inf"],
+         "{}=inf", "{}=-3"],
         ids=["scale-nan", "scale-inf", "scale-huge", "seed-negative",
-             "knob-nan", "knob-inf"],
+             "knob-nan", "knob-inf", "knob-negative"],
     )
     def test_hostile_query_values_are_typed_400s(
         self, daemon, route, knob, query
     ):
-        """Non-finite floats, parks past the cell limit and negative seeds:
-        a typed 400, never a 500 or a body holding NaN (``http_get`` parses
-        strictly)."""
+        """Non-finite floats, parks past the cell limit, negative seeds and
+        negative efforts or betas: a typed 400, never a 500, a map, or a body
+        holding NaN (``http_get`` parses strictly)."""
         status, body = http_get(
             daemon, f"{route}?park=MFNP&" + query.format(knob)
         )
@@ -509,13 +509,34 @@ class TestDaemonHTTP:
             assert "/riskmap" in body["routes"]
 
     def test_unsupported_method_405_is_typed(self, daemon):
-        # The HTTP skin only dispatches GET and POST; the router's 405
-        # branch is reached directly.
-        with pytest.raises(ReproError) as info:
-            daemon._route("DELETE", "/riskmap", {})
-        assert info.value.status == 405
-        assert info.value.payload["kind"] == "ConfigurationError"
-        assert "/riskmap" in info.value.payload["routes"]
+        url = f"http://127.0.0.1:{daemon.port}/riskmap?park=MFNP"
+        for method in ("PUT", "DELETE"):
+            request = urllib.request.Request(url, method=method)
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(request, timeout=30.0)
+            assert info.value.code == 405, method
+            assert info.value.headers["Content-Type"] == "application/json"
+            body = strict_json(info.value.read())
+            assert body["kind"] == "ConfigurationError"
+            assert "/riskmap" in body["routes"]
+
+    def test_request_body_closes_the_connection(self, daemon):
+        """No route reads a body, so a request with one is answered and the
+        connection closed: the body is never parsed as the next request."""
+        body = b'{"effort": 1}'
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=30) as conn:
+            conn.sendall(
+                b"PUT /riskmap?park=MFNP HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+                + b"GET /ready HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            received = b""
+            while chunk := conn.recv(65536):
+                received += chunk
+        head, __, payload = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 405")
+        assert b"Connection: close" in head
+        assert strict_json(payload)["kind"] == "ConfigurationError"
 
     def test_reload_bumps_version(self, daemon):
         status, before = http_get(daemon, f"/riskmap?park=MFNP&scale={SCALE}")

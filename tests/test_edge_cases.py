@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import IWareEnsemble, UncertaintyScaler, make_weak_learner
+from repro.core.ensemble import _prior_correct
 from repro.data import MFNP, generate_dataset
 from repro.exceptions import DataError
 from repro.geo import Grid, geodesic_distance
@@ -46,7 +47,10 @@ class TestIWareEdge:
         ens = IWareEnsemble(factory, n_classifiers=4,
                             rng=np.random.default_rng(0)).fit(split.train)
         X = split.test.feature_matrix[:15]
-        corrected = ens.corrected_member_probabilities(X)
+        corrected = _prior_correct(
+            ens.member_probabilities(X),
+            ens.subset_positive_rates_, ens.full_positive_rate_,
+        )
         assert corrected.shape == (ens.n_thresholds, 15)
         assert (corrected > 0).all() and (corrected < 1).all()
 

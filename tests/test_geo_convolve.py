@@ -109,7 +109,8 @@ class TestVectorizedEquivalence:
         radius=st.integers(1, 3),
     )
     def test_box_sum_bit_identical(self, seed, height, width, radius):
-        from repro.geo.convolve import _box_sum, _box_sum_reference
+        from repro.geo.convolve import _box_sum
+        from tests.oracles.convolve_reference import _box_sum_reference
 
         raster = np.nan_to_num(_ragged_holey_raster(seed, height, width))
         k = 2 * radius + 1
@@ -128,7 +129,7 @@ class TestVectorizedEquivalence:
         self, seed, height, width, block
     ):
         """Exact NaN placement, values equal up to summation order."""
-        from repro.geo.convolve import block_mean_reference
+        from tests.oracles.convolve_reference import block_mean_reference
 
         raster = _ragged_holey_raster(seed, height, width)
         got = block_mean(raster, block)
@@ -137,7 +138,7 @@ class TestVectorizedEquivalence:
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
     def test_box_filter_on_holey_raster_matches_reference_sums(self):
-        from repro.geo.convolve import _box_sum_reference
+        from tests.oracles.convolve_reference import _box_sum_reference
 
         raster = _ragged_holey_raster(7, 9, 12)
         finite = np.isfinite(raster)

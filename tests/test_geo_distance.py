@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.geo import Grid, chamfer_distance, geodesic_distance
-from repro.geo.distance import (
+from tests.oracles.distance_reference import (
     chamfer_distance_reference,
     geodesic_distance_reference,
 )

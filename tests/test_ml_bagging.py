@@ -84,15 +84,15 @@ class TestBagging:
     def test_intrinsic_variance_flag(self, rng):
         X, y = make_blobs(rng, n_per_class=25)
         trees = BaggingClassifier(tree_factory, n_estimators=3, rng=rng).fit(X, y)
-        assert not trees.has_intrinsic_variance
+        assert not any(m.supports_variance for m in trees.estimators_)
         gps = BaggingClassifier(
             lambda: GaussianProcessClassifier(max_points=60,
                                               rng=np.random.default_rng(1)),
             n_estimators=2,
             rng=rng,
         ).fit(X, y)
-        assert gps.has_intrinsic_variance
-        assert (gps.mean_member_variance(X) >= 0).all()
+        assert any(m.supports_variance for m in gps.estimators_)
+        assert (gps.prediction_stats(X)[1] >= 0).all()
 
 
 class TestBalancedBagging:

@@ -7,7 +7,8 @@ with a mix over it. These tests pin the contract:
 * served maps and surfaces equal the uncached ``PawsPredictor`` calls bit
   for bit — every weak learner, iWare-E on and off, plain and balanced, at
   every tile size and on thread and process pools;
-* one registration runs exactly one pass, whatever efforts and grids follow;
+* one registration runs exactly one pass, whatever efforts and grids follow,
+  and a negative effort is refused before any lookup or pass;
 * a deadline overrun memoizes nothing, and re-registering, unregistering
   and ``clear_cache`` each drop the pass;
 * each cached ``effort_response`` restores the scaler its own compute
@@ -95,6 +96,29 @@ def test_one_registration_runs_one_pass(gpb, park):
         service.effort_response(token, grid)
     info = service.cache_info()
     assert info["misses"] == 22 and info["member_passes"] == 1
+
+
+def test_negative_effort_refused_before_cache_and_pass(gpb, park):
+    """A negative hypothesised effort is a ConfigurationError wherever an
+    effort or grid enters; the service refuses it before any cache lookup
+    or member pass."""
+    features = park[1]
+    service = RiskMapService(gpb)
+    token = service.register_features("park", features)
+    with pytest.raises(ConfigurationError, match="effort"):
+        service.risk_map(token, effort=-3.0)
+    with pytest.raises(ConfigurationError, match="effort"):
+        service.effort_response(token, np.array([-0.5, 0.0, 1.0]))
+    info = service.cache_info()
+    assert info["hits"] == info["misses"] == info["member_passes"] == 0
+    per_cell = np.full(features.shape[0], 1.0)
+    per_cell[3] = -1e-9
+    for effort in (-0.5, per_cell):
+        for call in (gpb.predict_proba, gpb.predict_variance):
+            with pytest.raises(ConfigurationError, match="effort"):
+                call(features, effort=effort)
+    with pytest.raises(ConfigurationError, match="effort"):
+        gpb.effort_response(features, np.array([-1.0, 1.0]))
 
 
 def test_unregistered_arrays_and_disabled_cache_keep_no_pass(gpb, park):

@@ -115,7 +115,7 @@ class TestClassifierRoundTrips:
         loaded = self.assert_round_trip(model, X, tmp_path, check_variance=True)
         np.testing.assert_array_equal(loaded.inbag_counts_, model.inbag_counts_)
         np.testing.assert_array_equal(
-            loaded.mean_member_variance(X), model.mean_member_variance(X)
+            loaded.prediction_stats(X)[1], model.prediction_stats(X)[1]
         )
 
     def test_loaded_bagging_refuses_refit(self, blobs, tmp_path):

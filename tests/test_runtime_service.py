@@ -2,8 +2,9 @@
 
 Three contracts:
 
-* ``effort_response(batched=True)`` matches the per-level reference loop to
-  floating-point reduction order (the batched path is the default);
+* ``effort_response`` (every level mixed at once) matches the per-level
+  reference mixing (``tests/oracles/mixing_reference.py``) to
+  floating-point reduction order;
 * any ``n_jobs`` produces a bit-identical model (seeds are pre-drawn
   serially before the thread fan-out);
 * :class:`RiskMapService` caches repeated queries and protects its cache
@@ -26,6 +27,7 @@ from repro.ml import (
 from repro.runtime import RiskMapService, parallel_map, resolve_n_jobs
 
 from tests.conftest import make_blobs
+from tests.oracles.mixing_reference import per_level_effort_response
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +92,8 @@ class TestPredictionStats:
         bag = BaggingClassifier(factory, n_estimators=4).fit(X, y)
         proba, var = bag.prediction_stats(X)
         np.testing.assert_array_equal(proba, bag.predict_proba(X))
-        np.testing.assert_array_equal(var, bag.mean_member_variance(X))
+        # Trees report no intrinsic variance: the between-member variance.
+        np.testing.assert_array_equal(var, bag.predict_variance(X))
 
     def test_gp_bagging_uses_intrinsic_variance(self, rng):
         X, y = make_blobs(rng, n_per_class=30)
@@ -101,8 +104,11 @@ class TestPredictionStats:
         bag = BaggingClassifier(factory, n_estimators=2).fit(X, y)
         proba, var = bag.prediction_stats(X)
         np.testing.assert_array_equal(proba, bag.predict_proba(X))
-        np.testing.assert_array_equal(var, bag.mean_member_variance(X))
-        assert bag.has_intrinsic_variance
+        np.testing.assert_array_equal(
+            var,
+            np.stack([m.predict_variance(X) for m in bag.estimators_]).mean(axis=0),
+        )
+        assert any(m.supports_variance for m in bag.estimators_)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +123,10 @@ class TestBatchedEffortResponse:
         ).fit(park_split.train)
         X = park_split.test.feature_matrix
         grid = np.linspace(0.0, 5.0, 7)
-        risk_loop, nu_loop = predictor.effort_response(X, grid, batched=False)
-        risk_batch, nu_batch = predictor.effort_response(X, grid, batched=True)
+        risk_loop, nu_loop, __ = per_level_effort_response(
+            predictor, predictor.member_pass(X), grid
+        )
+        risk_batch, nu_batch = predictor.effort_response(X, grid)
         np.testing.assert_allclose(risk_batch, risk_loop, atol=1e-12, rtol=0)
         np.testing.assert_allclose(nu_batch, nu_loop, atol=1e-12, rtol=0)
         # The zero-effort anchor survives the batched path.

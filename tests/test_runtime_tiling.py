@@ -25,6 +25,7 @@ from repro.ml import (
 from repro.runtime import RiskMapService
 from repro.runtime.parallel import PredictTask, predict_map, tile_slices
 from tests.conftest import make_blobs
+from tests.oracles.mixing_reference import per_level_effort_response
 
 TILE_SIZES = (1, 7, 10**6)
 POOLS = ((1, "auto"), (3, "thread"), (3, "process"), (3, "auto"))
@@ -111,27 +112,6 @@ class TestPredictMap:
                     np.testing.assert_array_equal(p0, p1)
                     np.testing.assert_array_equal(v0, v1)
 
-    def test_method_selection(self, members):
-        models, X = members
-        probs = predict_map(models, X, tile_size=13, method="predict_proba")
-        for model, p in zip(models, probs):
-            np.testing.assert_array_equal(model.predict_proba(X), p)
-
-    def test_per_model_method_list(self, members):
-        models, X = members
-        out = predict_map(
-            models, X, tile_size=13,
-            method=["predict_proba", "predict_variance", "predict_proba"],
-        )
-        np.testing.assert_array_equal(out[0], models[0].predict_proba(X))
-        np.testing.assert_array_equal(out[1], models[1].predict_variance(X))
-        np.testing.assert_array_equal(out[2], models[2].predict_proba(X))
-
-    def test_method_list_length_checked(self, members):
-        models, X = members
-        with pytest.raises(ConfigurationError):
-            predict_map(models, X, method=["predict_proba"])
-
     def test_empty_query(self, members):
         models, X = members
         out = predict_map(models, X[:0], tile_size=4)
@@ -207,33 +187,35 @@ class TestTiledServingBitIdentity:
         np.testing.assert_array_equal(got, reference)
 
     def test_gp_internal_tiling_identical(self, rng):
+        """Tiles narrower than the GP's BLAS padding width stay exact."""
         X, y = make_blobs(rng, n_per_class=60)
         gp = GaussianProcessClassifier(rng=np.random.default_rng(0)).fit(X, y)
-        mean0, var0 = gp._latent_moments(X)
-        for tile in (1, 5, 64, 10**4):
-            mean, var = gp._latent_moments(X, tile_size=tile)
-            np.testing.assert_array_equal(mean, mean0)
+        proba0, var0 = gp.prediction_stats(X)
+        for tile in (1, 3, 5, 64, 10**4):
+            [(proba, var)] = predict_map([gp], X, tile_size=tile)
+            np.testing.assert_array_equal(proba, proba0)
             np.testing.assert_array_equal(var, var0)
-        np.testing.assert_array_equal(
-            gp.predict_proba(X, tile_size=3), gp.predict_proba(X)
-        )
+        np.testing.assert_array_equal(proba0, gp.predict_proba(X))
+        np.testing.assert_array_equal(var0, gp.predict_variance(X))
 
     def test_per_level_fallback_routes_through_shared_stats(
         self, gpb_iw, features
     ):
-        """``batched=False`` equals the historical per-level loop bit for bit
-        while running the members once, not once per level."""
+        """The per-level reference mixing over one member pass equals the
+        historical per-level ``predict_proba`` loop bit for bit."""
         grid = self.EFFORT_GRID
         legacy_risk = np.stack(
             [gpb_iw.predict_proba(features, effort=float(c)) for c in grid],
             axis=1,
         )
         legacy_risk[:, grid == 0.0] = 0.0
-        risk, __ = gpb_iw.effort_response(features, grid, batched=False)
+        risk, __, __ = per_level_effort_response(
+            gpb_iw, gpb_iw.member_pass(features), grid
+        )
         np.testing.assert_array_equal(risk, legacy_risk)
         # ... and with tiling on top, still identical.
-        risk_tiled, __ = gpb_iw.effort_response(
-            features, grid, batched=False, tile_size=9, n_jobs=2
+        risk_tiled, __, __ = per_level_effort_response(
+            gpb_iw, gpb_iw.member_pass(features, tile_size=9, n_jobs=2), grid
         )
         np.testing.assert_array_equal(risk_tiled, legacy_risk)
 

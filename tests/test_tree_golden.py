@@ -2,7 +2,7 @@
 
 The presorted packed-array builders in :mod:`repro.ml.tree` are contract-bound
 to reproduce the original recursive implementation (kept in
-:mod:`repro.ml._tree_reference`) *exactly*: identical packed arrays, identical
+``tests/oracles/tree_reference.py``) *exactly*: identical packed arrays, identical
 predictions, identical RNG consumption. These tests enforce that contract on
 fixed seeds across both builders (level-wise for ``max_features=None``,
 depth-first for feature subsampling), plus the picklability the process
@@ -16,12 +16,12 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.ml._tree_reference import (
+from repro.ml.tree import DecisionTreeClassifier
+from tests.oracles.tree_reference import (
     _build,
     reference_fit_arrays,
     reference_predict,
 )
-from repro.ml.tree import DecisionTreeClassifier
 
 PACKED_KEYS = ("feature", "threshold", "probability", "n_samples", "left", "right")
 
