@@ -20,11 +20,15 @@
 #                    resource discipline) over src/repro
 #   make lint-json   machine-readable analyzer report (the CI artifact)
 #   make check       lint + smoke + test
+#   make perf W=<workload> SEED=<n>
+#                    one 20 s perfbench run of a BENCHMARK.json workload
+#                    (riskmap-hot, riskmap-cold, plan or fit); alternate
+#                    it between two checkouts for A/B pairs
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-zoo test-chaos bench bench-fit bench-serve bench-daemon smoke serve-smoke lint lint-flow lint-json check
+.PHONY: test test-zoo test-chaos bench bench-fit bench-serve bench-daemon smoke serve-smoke lint lint-flow lint-json check perf
 
 test:
 	$(PYTHON) -m pytest tests -x -q
@@ -70,3 +74,6 @@ lint-json:
 	$(PYTHON) -m repro.analysis src/repro --format json
 
 check: lint smoke test
+
+perf:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 20

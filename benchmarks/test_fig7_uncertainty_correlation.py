@@ -20,6 +20,10 @@ from repro.ml.jackknife import bagging_ij_variance
 
 from conftest import write_report
 
+#: Pearson r as recorded in ``results/fig7_uncertainty_correlation.txt``;
+#: a change to the GP or tree fits must keep each within +-0.01.
+R_PINS = {"gp": 0.139, "trees_member": 0.790, "trees_ij": 0.344}
+
 
 def test_fig7_prediction_variance_correlation(mfnp_data, benchmark):
     split = mfnp_data.dataset.split_by_test_year(5)
@@ -67,3 +71,5 @@ def test_fig7_prediction_variance_correlation(mfnp_data, benchmark):
     assert corr["trees_member"] > 0.4
     assert abs(corr["gp"]) < 0.5
     assert corr["trees_member"] - corr["gp"] > 0.4
+    for source, pinned in R_PINS.items():
+        assert abs(corr[source] - pinned) <= 0.01, (source, corr[source], pinned)

@@ -23,6 +23,7 @@ from repro.core import PawsPredictor
 from repro.data import MFNP, generate_dataset
 from repro.evaluation import format_table
 from repro.runtime import RiskMapService
+from repro.runtime.resilience import collect_stats
 from tests.oracles.mixing_reference import per_level_effort_response
 
 from conftest import write_report
@@ -49,8 +50,12 @@ def test_batched_serving_engine(benchmark, tmp_path):
     fitted = predictor().fit(split.train)
     t_fit_serial = time.perf_counter() - start
     start = time.perf_counter()
-    fitted_parallel = predictor(n_jobs=4).fit(split.train)
+    with collect_stats() as fanouts:
+        fitted_parallel = predictor(n_jobs=4).fit(split.train)
     t_fit_parallel = time.perf_counter() - start
+    # GP fits keep every core busy through the threaded BLAS, so the auto
+    # backend runs them serially: n_jobs=4 must not put them on a pool.
+    assert set(fanouts.backends) == {"serial"}, fanouts.backends
     # Worker counts clamp to the cores actually available, so requesting
     # n_jobs=4 never oversubscribes: on a single-core container the pool
     # degrades to the *same* serial code path, making this single-shot
@@ -128,6 +133,7 @@ def test_batched_serving_engine(benchmark, tmp_path):
     rows = [
         ["fit, serial (s)", t_fit_serial],
         ["fit, n_jobs=4 auto backend (s, bit-identical)", t_fit_parallel],
+        ["fit, n_jobs=4 / serial (x)", t_fit_parallel / t_fit_serial],
         ["effort_response, seed per-level loop (s)", t_loop],
         ["effort_response, batched (s)", t_batch],
         ["batched speedup (x)", speedup],
@@ -140,10 +146,13 @@ def test_batched_serving_engine(benchmark, tmp_path):
         rows, "{:.6f}",
     )
     note = (
-        "\nnote: the fitting fan-out picks its pool per workload (threads "
-        "for GIL-releasing GP/BLAS members, processes for pure-Python "
-        "trees/SVMs) and clamps workers to usable cores, so n_jobs=4 is "
-        "never slower than serial on a small container; results are "
+        "\nnote: the fitting fan-out picks its pool per workload: GP fits "
+        "run serially (OpenBLAS already threads their Cholesky "
+        "factorisations; a thread pool on top only contends with it), "
+        "pure-Python trees/SVMs go to processes, and workers are clamped to "
+        "usable cores. The n_jobs=4 GPB fit above therefore runs the serial "
+        f"code path (fan-out rungs: {dict(fanouts.backends)}), and its "
+        "ratio to serial is timing noise around 1.0; results are "
         "bit-identical on every backend."
     )
     write_report("runtime_batched", table + note)

@@ -16,6 +16,11 @@ from repro.evaluation.experiments import TABLE2_MODELS, average_by_model, run_mo
 
 from conftest import BALANCED, BENCH_PROFILES, N_CLASSIFIERS, evaluable_test_years, write_report
 
+#: GPB-iW average AUCs as recorded in ``results/table2_auc.txt``. Changes
+#: that move the GP fits at round-off level (solve order, BLAS kernels) must
+#: keep each within +-0.01.
+GPB_IW_PINS = {"MFNP": 0.620, "QENP": 0.882, "SWS": 0.634, "SWS dry": 0.635}
+
 
 def test_table2_model_zoo_auc(park_data_cache, benchmark):
     def run_grid():
@@ -72,6 +77,12 @@ def test_table2_model_zoo_auc(park_data_cache, benchmark):
         "EXPERIMENTS.md."
     )
     write_report("table2_auc", table + summary)
+
+    for park, pinned in GPB_IW_PINS.items():
+        assert abs(averages[park]["GPB-iW"] - pinned) <= 0.01, (
+            f"{park}: GPB-iW average AUC {averages[park]['GPB-iW']:.3f} "
+            f"moved off its pin {pinned:.3f}"
+        )
 
     # Shape assertions (not absolute numbers): iWare-E helps on average
     # where the datasets carry enough positives for the comparison to be

@@ -152,9 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: one untiled pass)")
     predict.add_argument("--backend", default="auto",
                          choices=("auto", "thread", "process"),
-                         help="fitting/serving pool: auto routes GIL-bound "
-                         "weak learners (dtb/svb) to processes, BLAS-heavy "
-                         "gpb to threads")
+                         help="fitting/serving pool: auto fits GIL-bound "
+                         "weak learners (dtb/svb) on processes and gpb "
+                         "serially (its BLAS threads itself), and serves "
+                         "gpb on threads")
     predict.add_argument("--effort", type=float, default=None,
                          help="hypothetical patrol effort in km "
                          "(default: the park's median recorded effort)")

@@ -59,7 +59,8 @@ class IWareEnsemble:
     backend:
         Pool flavour for the fan-out: ``"thread"``, ``"process"``, or
         ``"auto"`` (process pool iff every deferred fit advertises
-        GIL-bound work — e.g. DTB trees; GP weak learners keep threads).
+        GIL-bound work — e.g. DTB trees; GP weak learners fit serially,
+        their BLAS already using every core).
     """
 
     def __init__(
@@ -281,10 +282,9 @@ class IWareEnsemble:
         effort_grid = np.asarray(effort_grid, dtype=float)
         # (I, L) qualification per effort level — the same rule the
         # per-level path applies per point, evaluated once per grid level.
-        mask = self._qualification(effort_grid, effort_grid.size)
-        weighted = self.weights_[:, None] * mask
-        denom = weighted.sum(axis=0)
-        denom[denom <= 0] = 1.0
+        weighted, denom = self._mix_weights(
+            self._qualification(effort_grid, effort_grid.size)
+        )
         risk = probs.T @ weighted / denom
         raw_var = variances.T @ weighted / denom
         return risk, raw_var
@@ -295,7 +295,10 @@ class IWareEnsemble:
         A classifier with threshold theta_i is qualified for points whose
         (actual or hypothesised) patrol effort is at least theta_i. The
         zero-threshold classifier is always qualified, so the mask never has
-        an empty column.
+        an empty column. Where every qualified classifier has weight 0 (the
+        learned weights can zero out the low thresholds), the mix falls back
+        to uniform weights over the qualified ones — the original iWare-E
+        rule — rather than mixing to 0 (see :meth:`_mix_weights`).
         """
         assert self.thresholds_ is not None
         if effort is None:
@@ -305,14 +308,29 @@ class IWareEnsemble:
         mask[0, :] = True
         return mask
 
+    def _mix_weights(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unnormalised ``(I, n)`` mixing weights and their column sums.
+
+        Each column holds the learned weights of the classifiers qualified
+        there; a column whose qualified weights are all 0 takes weight 1 on
+        each qualified classifier instead, so it mixes to their plain
+        average.
+        """
+        assert self.weights_ is not None
+        weighted = self.weights_[:, None] * mask
+        denom = weighted.sum(axis=0)
+        unweighted = denom <= 0
+        if unweighted.any():
+            weighted[:, unweighted] = mask[:, unweighted]
+            denom[unweighted] = mask[:, unweighted].sum(axis=0)
+        return weighted, denom
+
     def _mix(
         self, probs: np.ndarray, effort: np.ndarray | float | None
     ) -> np.ndarray:
-        assert self.weights_ is not None
-        mask = self._qualification(effort, probs.shape[1])
-        weighted = self.weights_[:, None] * mask
-        denom = weighted.sum(axis=0)
-        denom[denom <= 0] = 1.0
+        weighted, denom = self._mix_weights(
+            self._qualification(effort, probs.shape[1])
+        )
         return (weighted * probs).sum(axis=0) / denom
 
     def mix(

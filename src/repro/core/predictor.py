@@ -143,7 +143,8 @@ class PawsPredictor:
         Pool flavour for the fitting fan-out: ``"thread"``, ``"process"``,
         or ``"auto"`` (the default picks the process pool exactly when the
         weak learners are GIL-bound Python work — DTB trees, SVB epochs —
-        and keeps threads for BLAS-heavy GPB members).
+        and fits GPB members serially, since OpenBLAS already threads each
+        GP's Cholesky factorisation).
     """
 
     def __init__(

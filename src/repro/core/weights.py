@@ -95,7 +95,10 @@ def optimize_ensemble_weights(
     )
     if not result.success and not np.isfinite(result.fun):
         raise ConvergenceError(f"weight optimisation failed: {result.message}")
-    weights = np.clip(result.x, 0.0, None)
+    # SLSQP leaves a weight at its bound as exactly 0 or as round-off
+    # (~1e-17) depending on ulp-level noise in the inputs; snap both to 0 so
+    # the ensemble's qualification mix sees the same weights either way.
+    weights = np.where(result.x > _EPS, result.x, 0.0)
     total = weights.sum()
     if total <= 0:
         return uniform

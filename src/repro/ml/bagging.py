@@ -83,17 +83,18 @@ class _MemberFits:
 
         ensemble = self.ensemble
         auto = ensemble.backend == "auto"
+        n_jobs, backend = ensemble.n_jobs, ensemble.backend
         if auto:
-            backend = "process" if self.backend_hint == "process" else "thread"
-        else:
-            backend = ensemble.backend
+            hint = self.backend_hint
+            backend = "process" if hint == "process" else "thread"
+            if hint == "serial":
+                n_jobs = 1  # one worker: the members' BLAS has the cores
         try:
             members = parallel_map(
-                _fit_member, self.tasks, n_jobs=ensemble.n_jobs,
-                backend=backend,
+                _fit_member, self.tasks, n_jobs=n_jobs, backend=backend,
             )
         except (pickle.PicklingError, AttributeError, TypeError):
-            if not auto:
+            if not (auto and backend == "process"):
                 raise
             # Auto mode's contract: members that turn out not to pickle
             # (e.g. locally defined classes) fall back to the thread pool
@@ -129,7 +130,8 @@ class BaggingClassifier(Classifier):
     backend:
         Pool flavour for the member fits: ``"thread"``, ``"process"``, or
         ``"auto"`` (process iff every member's ``fit_backend_hint`` asks
-        for it). See :mod:`repro.runtime.parallel`.
+        for it, one worker iff every member asks for ``"serial"`` as GPs
+        do, threads otherwise). See :mod:`repro.runtime.parallel`.
     """
 
     def __init__(
@@ -217,8 +219,9 @@ class BaggingClassifier(Classifier):
 
         A DTB ensemble is GIL-bound per-level tree traversal all the way
         down (``"process"``); a GPB ensemble is BLAS solves (``"thread"``).
-        Mirrors the phase-2 fit vote so ``backend="auto"`` serving fan-outs
-        route whole ensembles the same way fitting did.
+        The same vote as the phase-2 fit's, over the members' predict
+        hints, so ``backend="auto"`` serving fan-outs route whole ensembles
+        by what their members serve like.
         """
         from repro.runtime.parallel import vote_backend
 

@@ -93,9 +93,11 @@ class Classifier(ABC):
     supports_variance: bool = False
 
     #: Which pool backend a fit of this model profits from: ``"thread"`` for
-    #: models whose heavy lifting releases the GIL in native code (GP
-    #: Cholesky, BLAS products), ``"process"`` for pure-Python/numpy-dispatch
-    #: work (tree growth, SGD epochs) that threads would serialise.
+    #: models whose heavy lifting releases the GIL in native code that does
+    #: not thread itself, ``"process"`` for pure-Python/numpy-dispatch work
+    #: (tree growth, SGD epochs) that threads would serialise, ``"serial"``
+    #: for fits that keep every core busy on their own (GP Cholesky
+    #: factorisations on the threaded BLAS), where a pool only contends.
     fit_backend_hint: str = "thread"
 
     #: Same vote for the *prediction* fan-out (:func:`repro.runtime.parallel.

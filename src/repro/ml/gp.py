@@ -51,6 +51,11 @@ class GaussianProcessClassifier(Classifier):
 
     supports_variance = True
 
+    #: A fit is a few hundred-row Cholesky factorisations that OpenBLAS
+    #: already spreads over the cores; a pool of fits on top only makes the
+    #: threads contend, so ``backend="auto"`` runs GP fits serially.
+    fit_backend_hint = "serial"
+
     def __init__(
         self,
         kernel: RBFKernel | None = None,
@@ -96,8 +101,7 @@ class GaussianProcessClassifier(Classifier):
         pi = _stable_sigmoid(f)
         w = pi * (1.0 - pi)
         sqrt_w = np.sqrt(np.maximum(w, 1e-12))
-        B = np.eye(K.shape[0]) + sqrt_w[:, None] * K * sqrt_w[None, :]
-        self._chol_b = np.linalg.cholesky(B)
+        self._chol_b = np.linalg.cholesky(_b_matrix(K, sqrt_w))
         self._grad_at_mode = (signs + 1.0) / 2.0 - pi
         self._sqrt_w = sqrt_w
         self._X_train = Xs
@@ -119,21 +123,26 @@ class GaussianProcessClassifier(Classifier):
         return median if median > 1e-6 else 1.0
 
     def _find_mode(self, K: np.ndarray, signs: np.ndarray) -> np.ndarray:
-        """Newton iteration for the Laplace posterior mode (R&W Alg. 3.1)."""
-        n = K.shape[0]
-        f = np.zeros(n)
-        identity = np.eye(n)
+        """Newton iteration for the Laplace posterior mode (R&W Alg. 3.1).
+
+        Each step factors ``B = I + W^1/2 K W^1/2`` once and solves with the
+        factor by two O(n^2) triangular sweeps (``cho_solve``), as the
+        algorithm prescribes. ``scipy.linalg`` is imported here, on the fit
+        path only, so serving processes never load it.
+        """
+        from scipy.linalg import cho_solve
+
+        f = np.zeros(K.shape[0])
         last_objective = -np.inf
         for _ in range(self.max_newton_iter):
             pi = _stable_sigmoid(f)
             w = np.maximum(pi * (1.0 - pi), 1e-12)
             sqrt_w = np.sqrt(w)
-            B = identity + sqrt_w[:, None] * K * sqrt_w[None, :]
-            L = np.linalg.cholesky(B)
+            L = np.linalg.cholesky(_b_matrix(K, sqrt_w))
             grad = (signs + 1.0) / 2.0 - pi
             b = w * f + grad
             rhs = sqrt_w * (K @ b)
-            solved = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+            solved = cho_solve((L, True), rhs, check_finite=False)
             a = b - sqrt_w * solved
             f = K @ a
             # Laplace objective: log p(y|f) - 0.5 a^T f
@@ -263,3 +272,18 @@ class GaussianProcessClassifier(Classifier):
         model._n_features = node["n_features"]
         model._mark_fitted()
         return model
+
+
+def _b_matrix(K: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
+    """``B = I + W^1/2 K W^1/2`` (R&W Alg. 3.1), built in one fresh array.
+
+    Bit for bit ``np.eye(n) + sqrt_w[:, None] * K * sqrt_w[None, :]``
+    without the identity and its temporary: the products run in the same
+    order, ``x + 1.0`` equals ``1.0 + x`` on the diagonal, and off it
+    ``0.0 + x`` is ``x`` for every ``x`` but ``-0.0``, which the package's
+    non-negative kernels (RBF, Matern) never yield.
+    """
+    B = sqrt_w[:, None] * K
+    B *= sqrt_w[None, :]
+    B[np.diag_indices_from(B)] += 1.0
+    return B

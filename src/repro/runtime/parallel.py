@@ -25,8 +25,9 @@ Two pool backends are available, because the fanned workloads split into two
 classes:
 
 * ``"thread"`` — right when the heavy lifting happens in GIL-releasing
-  native code (GP Cholesky factorisations, kernel products, HiGHS solves).
-  Zero serialisation cost; tasks may share state by reference.
+  native code that does not thread itself (kernel products of prediction
+  tiles, HiGHS solves). Zero serialisation cost; tasks may share state by
+  reference.
 * ``"process"`` — right for pure-Python/numpy-dispatch work (decision-tree
   growth, SVM epochs) that the GIL would serialise in a thread pool. Tasks
   cross the process boundary by pickling, so they must be picklable
@@ -35,9 +36,13 @@ classes:
   representation the npz persistence layer uses).
 * ``"auto"`` — inspects the tasks' ``backend_hint`` attributes (see
   :meth:`repro.ml.base.Classifier.fit_backend_hint`) and picks the process
-  pool only when every task asks for it; tasks that fail an explicit
-  picklability probe fall back to threads rather than erroring — while
-  exceptions raised by the tasks *themselves* always propagate.
+  pool only when every task asks for it, and no pool at all when every
+  task asks for ``"serial"``: GP fits are Cholesky factorisations that
+  OpenBLAS already runs on every core, so threads on top only contend with
+  it (on a 2-core host, QENP GPB-iW took 7.0 s on 2 threads against 4.0 s
+  serially). Tasks that fail an explicit picklability probe fall back to
+  threads rather than erroring — while exceptions raised by the tasks
+  *themselves* always propagate.
 
 Dispatch goes through :func:`repro.runtime.resilience.supervised_map`
 rather than bare ``pool.map``: each task is an individually supervised
@@ -177,27 +182,31 @@ def parallel_map(
 def vote_backend(hints: Sequence[str]) -> str:
     """Resolve a pool flavour from per-task backend hints.
 
-    The process pool only pays off when every *substantive* task is
-    GIL-bound Python work (a single thread-happy GP fit would serialise
-    behind the pickling anyway): ``"process"`` wins iff at least one task
-    asks for it and none asks for ``"thread"``. Trivial no-op tasks
-    advertise ``"any"`` and do not get a vote; a group of nothing but
-    abstainers stays ``"any"`` so it cannot poison an outer vote either.
+    A unanimous vote wins: ``"process"`` when every *substantive* task is
+    GIL-bound Python work, ``"serial"`` when every one is a fit that keeps
+    the cores busy by itself (GP Cholesky factorisations on the threaded
+    BLAS). Any other mix gets ``"thread"``. Trivial no-op tasks advertise
+    ``"any"`` and do not get a vote; a group of nothing but abstainers
+    stays ``"any"`` so it cannot poison an outer vote either.
     """
-    votes = [hint for hint in hints if hint != "any"]
+    votes = {hint for hint in hints if hint != "any"}
     if not votes:
         return "any"
-    if all(vote == "process" for vote in votes):
-        return "process"
+    if len(votes) == 1 and votes <= {"process", "serial"}:
+        return votes.pop()
     return "thread"
 
 
 def preferred_backend(tasks: Sequence[object]) -> str:
-    """Resolve ``"auto"`` from the tasks' ``backend_hint`` attributes."""
+    """Resolve ``"auto"`` from the tasks' ``backend_hint`` attributes.
+
+    Returns a :func:`~repro.runtime.resilience.supervised_map` starting
+    rung: ``"process"``, ``"serial"`` or ``"thread"``.
+    """
     result = vote_backend(
         [getattr(task, "backend_hint", "thread") for task in tasks]
     )
-    return "process" if result == "process" else "thread"
+    return "thread" if result == "any" else result
 
 
 def _tasks_picklable(tasks: Sequence[object]) -> bool:
@@ -232,7 +241,8 @@ def run_deferred(
     bit-identical results.
 
     With ``backend="auto"`` the pool is chosen from the tasks'
-    ``backend_hint`` attributes; a process vote is then confirmed by
+    ``backend_hint`` attributes (a unanimous ``"serial"`` vote runs them in
+    this thread, in order); a process vote is then confirmed by
     explicitly pickling the task objects (:func:`_tasks_picklable`), and
     tasks that do not pickle (e.g. closures over live model state) fall
     back to the thread pool — recorded as a ``pickle_fallbacks`` stat, not
@@ -294,7 +304,8 @@ class PredictTask:
     that serialises as just the tile). ``backend_hint`` advertises the
     model's :attr:`~repro.ml.base.Classifier.predict_backend_hint`, so the
     ``"auto"`` vote routes GIL-bound members (trees) to the process pool and
-    BLAS-heavy members (GPs) to threads — mirroring the fitting fan-out.
+    BLAS-heavy members (GPs) to threads. (GP *fits* vote ``"serial"``
+    instead; see :func:`vote_backend`.)
     """
 
     def __init__(self, model, X):

@@ -110,6 +110,72 @@ class TestIWareEnsemble:
         assert (v >= 0).all()
 
 
+def _hand_weighted_ensemble(weights) -> IWareEnsemble:
+    """A four-threshold ensemble with hand-set mixing weights (no fit)."""
+    ens = IWareEnsemble(dtb_factory(), n_classifiers=4)
+    ens.thresholds_ = np.array([0.0, 1.0, 2.0, 3.0])
+    ens.weights_ = np.asarray(weights, dtype=float)
+    return ens
+
+
+class TestZeroWeightMix:
+    """Columns whose qualified classifiers all weigh 0 mix to their average."""
+
+    PROBS = np.random.default_rng(4).random((4, 6))
+    EFFORT = np.array([0.5, 1.5, 2.5, 3.5, 1.0, 0.0])
+
+    def test_mix_falls_back_to_qualified_average(self):
+        ens = _hand_weighted_ensemble([0.0, 0.0, 0.3, 0.7])
+        p = self.PROBS
+        got = ens.mix(p, self.EFFORT)
+        np.testing.assert_array_equal(got[0], p[0, 0])  # only theta=0
+        np.testing.assert_array_equal(got[1], (p[0, 1] + p[1, 1]) / 2)
+        np.testing.assert_allclose(got[2], p[2, 2], rtol=1e-15)  # 0, 0, .3
+        np.testing.assert_allclose(got[3], 0.3 * p[2, 3] + 0.7 * p[3, 3])
+        np.testing.assert_array_equal(got[4], (p[0, 4] + p[1, 4]) / 2)
+        np.testing.assert_array_equal(got[5], p[0, 5])
+        assert (got > 0).all()
+
+    def test_mix_grid_falls_back_to_qualified_average(self):
+        ens = _hand_weighted_ensemble([0.0, 0.0, 0.3, 0.7])
+        p, v = self.PROBS, self.PROBS[::-1]
+        grid = np.array([0.0, 0.5, 1.5, 2.5, 3.5])
+        risk, raw_var = ens.mix_grid(p, v, grid)
+        np.testing.assert_allclose(risk[:, 0], p[0])
+        np.testing.assert_allclose(risk[:, 1], p[0])
+        np.testing.assert_allclose(risk[:, 2], (p[0] + p[1]) / 2)
+        np.testing.assert_allclose(raw_var[:, 2], (v[0] + v[1]) / 2)
+        np.testing.assert_allclose(risk[:, 3], p[2])
+        np.testing.assert_allclose(risk[:, 4], 0.3 * p[2] + 0.7 * p[3])
+        for level, c in enumerate(grid):
+            np.testing.assert_allclose(risk[:, level], ens._mix(p, float(c)))
+            np.testing.assert_allclose(raw_var[:, level], ens._mix(v, float(c)))
+
+    def test_round_off_and_zero_weights_mix_alike(self):
+        zero = _hand_weighted_ensemble([0.0, 0.0, 0.3, 0.7])
+        tiny = _hand_weighted_ensemble([1e-17, 1e-17, 0.3, 0.7])
+        grid = np.array([0.5, 1.5, 2.5, 3.5])
+        np.testing.assert_allclose(
+            zero.mix(self.PROBS, self.EFFORT), tiny.mix(self.PROBS, self.EFFORT),
+            rtol=1e-14,
+        )
+        for got, expected in zip(
+            zero.mix_grid(self.PROBS, self.PROBS, grid),
+            tiny.mix_grid(self.PROBS, self.PROBS, grid),
+        ):
+            np.testing.assert_allclose(got, expected, rtol=1e-14)
+
+    def test_positive_weights_mix_unchanged(self):
+        ens = _hand_weighted_ensemble([0.1, 0.2, 0.3, 0.4])
+        p = self.PROBS
+        mask = ens._qualification(self.EFFORT, p.shape[1])
+        weighted = ens.weights_[:, None] * mask
+        np.testing.assert_array_equal(
+            ens.mix(p, self.EFFORT),
+            (weighted * p).sum(axis=0) / weighted.sum(axis=0),
+        )
+
+
 class TestPriorCorrection:
     def test_identity_when_rates_match(self):
         probs = np.array([[0.2, 0.7]])

@@ -144,6 +144,21 @@ class TestWeightOptimisation:
             uniform, probs, y
         )
 
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_weights_at_the_bound_are_exactly_zero(self, seed):
+        """SLSQP returns a weight at its lower bound as 0 or as ~1e-16
+        round-off; both must come back as exactly 0, or the qualification
+        mix renormalises the round-off into a real vote."""
+        rng = np.random.default_rng(seed)
+        y = (rng.random(200) < 0.3).astype(int)
+        good = np.clip(0.3 + 0.4 * (y - 0.3) + 0.1 * rng.normal(size=200), 0.01, 0.99)
+        bad = np.clip(0.3 - 0.2 * (y - 0.3) + 0.1 * rng.normal(size=(2, 200)), 0.01, 0.99)
+        near = np.clip(good + 0.1 * rng.normal(size=200), 0.01, 0.99)
+        weights = optimize_ensemble_weights(np.vstack([bad, good, near]), y)
+        assert weights[:2].tolist() == [0.0, 0.0]
+        assert ((weights == 0.0) | (weights > 1e-12)).all()
+        assert weights.sum() == pytest.approx(1.0)
+
     def test_shape_validation(self, rng):
         with pytest.raises(DataError):
             optimize_ensemble_weights(rng.random(10), rng.integers(0, 2, 10))

@@ -7,8 +7,10 @@ import pytest
 
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.ml import GaussianProcessClassifier, RBFKernel, roc_auc_score
+from repro.ml.gp import _b_matrix
 from repro.ml.kernels import MaternKernel
 from tests.conftest import make_blobs
+from tests.oracles.gp_reference import reference_b_matrix, reference_laplace_state
 
 
 class TestRBFKernel:
@@ -139,3 +141,66 @@ class TestGPClassifier:
         if p.std() > 1e-9 and v.std() > 1e-9:
             corr = np.corrcoef(p, v)[0, 1]
             assert abs(corr) < 0.9
+
+
+def _newton_problem(kind: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded fit inputs for the Newton-step oracle comparison."""
+    rng = np.random.default_rng(seed)
+    if kind.startswith("n="):
+        n = int(kind[2:])
+        X = rng.normal(size=(n, 4))
+        y = (X[:, 0] + rng.normal(size=n) > 0).astype(int)
+        y[0], y[-1] = 0, 1
+    elif kind == "one-class-but-one":
+        X = rng.normal(size=(60, 3))
+        y = np.zeros(60, dtype=int)
+        y[rng.integers(60)] = 1
+    else:  # near-duplicate rows: the kernel is singular but for the jitter
+        X = np.repeat(rng.normal(size=(12, 3)), 5, axis=0)
+        X += 1e-9 * rng.normal(size=X.shape)
+        y = (rng.random(60) < 0.4).astype(int)
+        y[0], y[1] = 0, 1
+    return X, y
+
+
+class TestNewtonStepOracle:
+    """The Cholesky-solve Newton step against the LU-solve one it replaced."""
+
+    @pytest.mark.parametrize(
+        "kind", ["n=2", "n=8", "n=250", "one-class-but-one", "near-duplicate"]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_laplace_state_matches_lu_reference(self, kind, seed):
+        X, y = _newton_problem(kind, seed)
+        gp = GaussianProcessClassifier(rng=np.random.default_rng(0)).fit(X, y)
+        assert gp._X_train.shape[0] == X.shape[0]  # no subsample: same K
+        K = gp._fitted_kernel(gp._X_train)
+        K[np.diag_indices_from(K)] += gp.jitter
+        signs = np.where(y == 1, 1.0, -1.0)
+        ref = reference_laplace_state(gp, K, signs)
+        got = {
+            "mode": gp._find_mode(K, signs),
+            "grad_at_mode": gp._grad_at_mode,
+            "sqrt_w": gp._sqrt_w,
+            "chol_b": gp._chol_b,
+        }
+        for name, expected in ref.items():
+            scale = np.abs(expected).max()
+            error = np.abs(got[name] - expected).max()
+            assert error <= 1e-12 * scale, (kind, seed, name, error / scale)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 250])
+    def test_b_matrix_bit_identical_to_explicit_identity(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3))
+        K = RBFKernel(lengthscale=0.5)(X)
+        K[np.diag_indices_from(K)] += 1e-6
+        sqrt_w = np.sqrt(np.maximum(rng.random(n) * 0.25, 1e-12))
+        np.testing.assert_array_equal(
+            _b_matrix(K, sqrt_w).view(np.uint64),
+            reference_b_matrix(K, sqrt_w).view(np.uint64),
+        )
+
+    def test_fit_hint_is_serial(self):
+        assert GaussianProcessClassifier.fit_backend_hint == "serial"
+        assert GaussianProcessClassifier.predict_backend_hint == "thread"

@@ -29,7 +29,9 @@ from repro.runtime.parallel import (
     preferred_backend,
     resolve_n_jobs,
     run_deferred,
+    vote_backend,
 )
+from repro.runtime.resilience import collect_stats
 from tests.conftest import make_blobs
 
 
@@ -111,6 +113,18 @@ class TestBackendHints:
         assert preferred_backend([P(), A()]) == "process"
         assert preferred_backend([A(), A()]) == "thread"
         assert preferred_backend([]) == "thread"
+
+        class S:
+            backend_hint = "serial"
+
+        # GP fits keep the cores busy through BLAS: a unanimous serial vote
+        # runs them in the caller's thread; any dissent gets threads.
+        assert preferred_backend([S(), S()]) == "serial"
+        assert preferred_backend([S(), A()]) == "serial"
+        assert preferred_backend([S(), T()]) == "thread"
+        assert preferred_backend([S(), P()]) == "thread"
+        assert vote_backend(["serial", "any"]) == "serial"
+        assert vote_backend(["any"]) == "any"
 
     def test_tree_bagging_phase2_hints_process(self, rng):
         X, y = make_blobs(rng)
@@ -265,6 +279,54 @@ class TestBitIdenticalAcrossBackends:
         np.testing.assert_array_equal(
             serial.predict_proba(X), auto.predict_proba(X)
         )
+
+
+class TestFitFanOutRungs:
+    """Which rung each auto fit fan-out finishes on (counts, no timing)."""
+
+    @pytest.fixture(autouse=True)
+    def _four_cpus(self, monkeypatch):
+        # Pin the clamp so the pooled cases pool on any host.
+        import repro.runtime.parallel as par
+
+        monkeypatch.setattr(par, "effective_cpu_count", lambda: 4)
+
+    @staticmethod
+    def _fit(tiny_dataset, model="gpb", n_jobs=1, backend="auto", iware=True):
+        with collect_stats() as stats:
+            predictor = PawsPredictor(
+                model=model, iware=iware, n_classifiers=3, n_estimators=2,
+                seed=5, n_jobs=n_jobs, backend=backend,
+            ).fit(tiny_dataset)
+        return predictor, stats
+
+    @pytest.mark.parametrize("n_jobs", [2, 4])
+    def test_auto_gp_fits_run_serially(self, tiny_dataset, n_jobs):
+        __, stats = self._fit(tiny_dataset, n_jobs=n_jobs)
+        assert set(stats.backends) == {"serial"}
+        __, flat = self._fit(tiny_dataset, n_jobs=n_jobs, iware=False)
+        assert set(flat.backends) == {"serial"}
+
+    def test_gp_models_bit_identical_across_n_jobs(self, tiny_dataset):
+        X = tiny_dataset.feature_matrix
+        fitted = [self._fit(tiny_dataset, n_jobs=n)[0] for n in (1, 2, 4)]
+        fitted.append(self._fit(tiny_dataset, n_jobs=2, backend="thread")[0])
+        reference = fitted[0].member_pass(X)
+        for predictor in fitted[1:]:
+            np.testing.assert_array_equal(
+                predictor._ensemble.weights_, fitted[0]._ensemble.weights_
+            )
+            for got, expected in zip(predictor.member_pass(X), reference):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_auto_tree_fits_still_use_processes(self, tiny_dataset):
+        __, stats = self._fit(tiny_dataset, model="dtb", n_jobs=2)
+        assert stats.backends.get("process", 0) >= 1
+        assert "thread" not in stats.backends
+
+    def test_explicit_thread_backend_is_honoured(self, tiny_dataset):
+        __, stats = self._fit(tiny_dataset, n_jobs=2, backend="thread")
+        assert stats.backends.get("thread", 0) >= 1
 
 
 class TestPredictorBackendConfig:
