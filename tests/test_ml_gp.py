@@ -200,7 +200,3 @@ class TestNewtonStepOracle:
             _b_matrix(K, sqrt_w).view(np.uint64),
             reference_b_matrix(K, sqrt_w).view(np.uint64),
         )
-
-    def test_fit_hint_is_serial(self):
-        assert GaussianProcessClassifier.fit_backend_hint == "serial"
-        assert GaussianProcessClassifier.predict_backend_hint == "thread"
