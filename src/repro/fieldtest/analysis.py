@@ -9,7 +9,6 @@ risk categories, i.e. the model discriminates.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import DataError
 from repro.fieldtest.simulate import FieldTrialResult
@@ -36,6 +35,10 @@ def chi_squared_test(result: FieldTrialResult) -> tuple[float, float]:
     # test defined; the caller interprets a degenerate table as p=1.
     if (contingency.sum(axis=0) == 0).any() or (contingency.sum(axis=1) == 0).any():
         return 0.0, 1.0
+    # Imported here: scipy.stats takes ~0.45 s to load, and the daemon and
+    # most commands import this module without ever running the test.
+    from scipy import stats
+
     statistic, p_value, __, __ = stats.chi2_contingency(contingency)
     return float(statistic), float(p_value)
 

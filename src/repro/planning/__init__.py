@@ -26,7 +26,7 @@ Modules
 """
 
 from repro.planning.graph import TimeUnrolledGraph
-from repro.planning.pwl import PiecewiseLinear, sample_breakpoints
+from repro.planning.pwl import PiecewiseLinear, StackedPWL, sample_breakpoints
 from repro.planning.robust import RobustObjective, robust_utility
 from repro.planning.milp import PatrolMILP, MILPSolution, MILPStructure, SOLVER_MODES
 from repro.planning.paths import (
@@ -42,6 +42,7 @@ from repro.planning.online import Exp3StrategySelector, run_online_deployment
 __all__ = [
     "TimeUnrolledGraph",
     "PiecewiseLinear",
+    "StackedPWL",
     "sample_breakpoints",
     "RobustObjective",
     "robust_utility",

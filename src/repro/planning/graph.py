@@ -12,6 +12,8 @@ post only has copies for ``d <= t <= T-1-d``.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 from repro.exceptions import ConfigurationError, PlanningError
@@ -66,9 +68,20 @@ class TimeUnrolledGraph:
                 j = self._node_index.get((u, t + 1))
                 if j is not None:
                     edges.append((idx, j))
-        self._edges = np.asarray(edges, dtype=np.int64)
+        self._edges = _frozen(np.asarray(edges, dtype=np.int64))
         if self._edges.size == 0:
             raise PlanningError("time-unrolled graph has no edges")
+        # Lookups every solve and route decomposition of this post reads,
+        # built once and read-only: concurrent plans share them.
+        node_cells = np.array([v for v, __ in nodes], dtype=np.int64)
+        self._reachable = _frozen(np.unique(node_cells))
+        every_node = np.arange(len(nodes))
+        self._out_edges = _edge_groups(self._edges[:, 0], every_node)
+        self._in_edges = _edge_groups(self._edges[:, 1], every_node)
+        self._visit_edges = MappingProxyType(dict(zip(
+            self._reachable.tolist(),
+            _edge_groups(node_cells[self._edges[:, 1]], self._reachable),
+        )))
 
     # ------------------------------------------------------------------
     @property
@@ -86,8 +99,8 @@ class TimeUnrolledGraph:
 
     @property
     def edges(self) -> np.ndarray:
-        """``(n_edges, 2)`` array of (tail_node_idx, head_node_idx)."""
-        return self._edges.copy()
+        """``(n_edges, 2)`` read-only (tail_node_idx, head_node_idx) pairs."""
+        return self._edges
 
     @property
     def source_node(self) -> int:
@@ -103,29 +116,35 @@ class TimeUnrolledGraph:
 
     @property
     def reachable_cells(self) -> np.ndarray:
-        """Cells with at least one surviving (cell, t) copy."""
-        return np.unique([v for v, __ in self._nodes])
+        """Sorted, read-only ids of the cells with a (cell, t) copy left."""
+        return self._reachable
 
     # ------------------------------------------------------------------
-    def incidence_lists(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(out_edges, in_edges) edge-index lists per node."""
-        out_edges: list[list[int]] = [[] for __ in range(self.n_nodes)]
-        in_edges: list[list[int]] = [[] for __ in range(self.n_nodes)]
-        for e, (i, j) in enumerate(self._edges):
-            out_edges[i].append(e)
-            in_edges[j].append(e)
-        return out_edges, in_edges
+    def incidence_lists(
+        self,
+    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """(out_edges, in_edges): read-only ascending edge ids per node."""
+        return self._out_edges, self._in_edges
 
-    def cell_visit_edges(self) -> dict[int, list[int]]:
-        """For each cell, the edge indices *entering* any of its copies.
+    def cell_visit_edges(self) -> MappingProxyType:
+        """Reachable cell -> read-only ascending ids of the edges *entering*
+        any of its copies, in :attr:`reachable_cells` order.
 
         Patrol effort at a cell is the expected number of time steps spent
         there: the flow into all (cell, t) copies plus the initial presence
         at the source. The source's t=0 presence has no incoming edge, so
         callers must add the unit source flow to the source cell's count.
         """
-        by_cell: dict[int, list[int]] = {int(v): [] for v in self.reachable_cells}
-        for e, (__, j) in enumerate(self._edges):
-            cell, __t = self._nodes[j]
-            by_cell[int(cell)].append(e)
-        return by_cell
+        return self._visit_edges
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _edge_groups(keys: np.ndarray, values: np.ndarray) -> tuple:
+    """For each of the ascending ``values`` (every key is one of them), the
+    ascending ids of the edges with that key, as read-only views."""
+    order = _frozen(np.argsort(keys, kind="stable"))
+    return tuple(np.split(order, np.searchsorted(keys[order], values[1:])))

@@ -58,7 +58,7 @@ from scipy.optimize import LinearConstraint, Bounds, milp
 
 from repro.exceptions import ConfigurationError, InfeasibleError, PlanningError
 from repro.planning.graph import TimeUnrolledGraph
-from repro.planning.pwl import PiecewiseLinear
+from repro.planning.pwl import PiecewiseLinear, StackedPWL
 from repro.runtime.concurrency import thread_shared
 
 #: Accepted values for the ``mode`` argument of :meth:`PatrolMILP.solve`.
@@ -78,14 +78,9 @@ class MILPStructure:
     matrix, row_lb, row_ub, integrality:
         The constraint system (``lp_mode`` structures have all-continuous
         integrality and no SOS2 rows).
-    cells:
-        Sorted reachable cell ids covered by the utility dict.
-    visit_edges:
-        Per-cell edge indices entering any of the cell's (cell, t) copies.
-    lam_offset:
-        Per-cell start index of its lambda block in the variable vector.
     n_vars:
-        Total variable count.
+        Total variable count: the edge flows, then one lambda block per
+        reachable cell in ascending id order, then the ``z`` blocks.
     lp_mode:
         True when every ``z`` binary was dropped (concave fast path).
     binary_cells:
@@ -98,9 +93,6 @@ class MILPStructure:
     row_lb: np.ndarray
     row_ub: np.ndarray
     integrality: np.ndarray
-    cells: list[int]
-    visit_edges: dict[int, list[int]]
-    lam_offset: dict[int, int]
     n_vars: int
     lp_mode: bool
     binary_cells: tuple[int, ...] | None = None
@@ -214,55 +206,37 @@ class PatrolMILP:
         """Coverage if every patrol spent every step in one cell: T*K."""
         return float(self.graph.horizon * self.n_patrols)
 
-    def _check_utilities(
-        self, utilities: dict[int, PiecewiseLinear]
-    ) -> list[int]:
-        cells = sorted(utilities)
-        reachable = set(int(v) for v in self.graph.reachable_cells)
-        for v in cells:
-            if v not in reachable:
-                raise ConfigurationError(
-                    f"utility given for unreachable cell {v}"
-                )
-            pwl = utilities[v]
-            if pwl.xs[0] > 1e-9:
-                raise ConfigurationError(
-                    f"cell {v}: PWL domain must start at 0, got {pwl.xs[0]}"
-                )
-            if pwl.xs[-1] < self.max_coverage - 1e-9:
-                raise ConfigurationError(
-                    f"cell {v}: PWL domain must reach T*K={self.max_coverage}, "
-                    f"got {pwl.xs[-1]}"
-                )
-        missing = reachable - set(cells)
-        if missing:
+    def _stack(
+        self, utilities: dict[int, PiecewiseLinear] | StackedPWL
+    ) -> StackedPWL:
+        """``utilities`` as one row per reachable cell, domains checked."""
+        reachable = self.graph.reachable_cells
+        if isinstance(utilities, StackedPWL):
+            cells = utilities.cells
+        else:
+            cells = np.array(sorted(utilities), dtype=int)
+        if not np.array_equal(cells, reachable):
             raise ConfigurationError(
-                f"utilities missing for reachable cells {sorted(missing)[:5]}..."
-                if len(missing) > 5
-                else f"utilities missing for reachable cells {sorted(missing)}"
+                "utilities must cover exactly the reachable cells; unreachable: "
+                f"{np.setdiff1d(cells, reachable)[:5].tolist()}, missing: "
+                f"{np.setdiff1d(reachable, cells)[:5].tolist()}"
             )
-        return cells
-
-    @staticmethod
-    def _structure_key(
-        cells: list[int],
-        utilities: dict[int, PiecewiseLinear],
-        lp_mode: bool,
-        binary_cells: tuple[int, ...] | None,
-    ) -> tuple:
-        digest = hashlib.sha256()
-        for v in cells:
-            xs = utilities[v].xs
-            # Delimit each array by its length so different per-cell
-            # partitions of identical concatenated bytes cannot collide.
-            digest.update(str(xs.size).encode())
-            digest.update(xs.tobytes())
-        return (lp_mode, binary_cells, tuple(cells), digest.hexdigest())
+        if not isinstance(utilities, StackedPWL):
+            utilities = StackedPWL.from_dict(utilities)
+        xs = utilities.xs
+        bad = (xs[:, 0] > 1e-9) | (xs[:, -1] < self.max_coverage - 1e-9)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ConfigurationError(
+                f"cell {cells[row]}: PWL domain must span [0, T*K="
+                f"{self.max_coverage}], got [{xs[row, 0]}, {xs[row, -1]}]"
+            )
+        return utilities
 
     # ------------------------------------------------------------------
     def build_structure(
         self,
-        utilities: dict[int, PiecewiseLinear],
+        utilities: dict[int, PiecewiseLinear] | StackedPWL,
         lp_mode: bool = False,
         binary_cells: tuple[int, ...] | list[int] | None = None,
     ) -> MILPStructure:
@@ -278,17 +252,19 @@ class PatrolMILP:
             Cells that carry ``z`` binaries and SOS2 rows; ``None`` means
             all of them. Ignored in ``lp_mode`` (no binaries at all).
         """
-        cells = self._check_utilities(utilities)
+        utilities = self._stack(utilities)
+        xs = utilities.xs
         if lp_mode:
-            binary_set: set[int] = set()
+            binary = np.zeros(xs.shape[0], dtype=bool)
             binary_key: tuple[int, ...] | None = None
         elif binary_cells is None:
-            binary_set = set(cells)
+            binary = np.ones(xs.shape[0], dtype=bool)
             binary_key = None
         else:
-            binary_set = set(int(v) for v in binary_cells)
-            binary_key = tuple(sorted(binary_set))
-        key = self._structure_key(cells, utilities, lp_mode, binary_key)
+            binary_key = tuple(sorted(set(int(v) for v in binary_cells)))
+            binary = np.isin(utilities.cells, binary_key)
+        digest = hashlib.sha256(xs.tobytes()).hexdigest()
+        key = (lp_mode, binary_key, xs.shape, digest)
         with self._lock:
             cached = self._structures.get(key)
             if cached is not None:
@@ -300,80 +276,66 @@ class PatrolMILP:
 
         graph = self.graph
         n_edges = graph.n_edges
+        n_cells, n_points = xs.shape
+        m = n_points - 1
         # Variable layout: [f (n_edges) | lambda blocks | z blocks (MILP)].
-        lam_offset: dict[int, int] = {}
-        z_offset: dict[int, int] = {}
-        cursor = n_edges
-        for v in cells:
-            lam_offset[v] = cursor
-            cursor += utilities[v].xs.size
-        for v in cells:
-            if v in binary_set:
-                z_offset[v] = cursor
-                cursor += utilities[v].n_segments
-        n_vars = cursor
+        lam_start = n_edges + n_points * np.arange(n_cells)
+        z_start = n_edges + n_cells * n_points
+        n_vars = z_start + m * int(binary.sum())
 
         rows: list[np.ndarray] = []
         cols: list[np.ndarray] = []
         vals: list[np.ndarray] = []
         lbs: list[float] = []
         ubs: list[float] = []
-        row_id = 0
 
-        def add_row(
-            col_idx: list[int], coeffs: list[float], lo: float, hi: float
-        ) -> None:
-            nonlocal row_id
-            rows.append(np.full(len(col_idx), row_id))
+        def add_row(col_idx, coeffs, lo: float, hi: float) -> None:
+            rows.append(np.full(len(col_idx), len(lbs)))
             cols.append(np.asarray(col_idx))
             vals.append(np.asarray(coeffs, dtype=float))
             lbs.append(lo)
             ubs.append(hi)
-            row_id += 1
 
         out_edges, in_edges = graph.incidence_lists()
 
         # Unit flow out of the source and into the sink; conservation inside.
         src, snk = graph.source_node, graph.sink_node
-        add_row(out_edges[src], [1.0] * len(out_edges[src]), 1.0, 1.0)
-        add_row(in_edges[snk], [1.0] * len(in_edges[snk]), 1.0, 1.0)
+        add_row(out_edges[src], np.ones(out_edges[src].size), 1.0, 1.0)
+        add_row(in_edges[snk], np.ones(in_edges[snk].size), 1.0, 1.0)
         for node in range(graph.n_nodes):
             if node in (src, snk):
                 continue
-            idx = in_edges[node] + out_edges[node]
-            coef = [1.0] * len(in_edges[node]) + [-1.0] * len(out_edges[node])
-            if idx:
-                add_row(idx, coef, 0.0, 0.0)
+            into, out = in_edges[node], out_edges[node]
+            if into.size + out.size:
+                coef = np.r_[np.ones(into.size), -np.ones(out.size)]
+                add_row(np.r_[into, out], coef, 0.0, 0.0)
 
         # Coverage linking: sum_j lambda_vj x_j - K*(inflow_v + 1{v=src}) = 0.
-        visit_edges = graph.cell_visit_edges()
         K = float(self.n_patrols)
-        for v in cells:
-            xs = utilities[v].xs
-            lam_idx = list(range(lam_offset[v], lam_offset[v] + xs.size))
-            edge_idx = visit_edges.get(v, [])
-            col_idx = lam_idx + edge_idx
-            coeffs = list(xs) + [-K] * len(edge_idx)
-            rhs = K if v == graph.source_cell else 0.0
-            add_row(col_idx, coeffs, rhs, rhs)
+        for row, edge_idx in enumerate(graph.cell_visit_edges().values()):
+            rhs = K if utilities.cells[row] == graph.source_cell else 0.0
+            add_row(
+                np.r_[lam_start[row] + np.arange(n_points), edge_idx],
+                np.r_[xs[row], np.full(edge_idx.size, -K)],
+                rhs,
+                rhs,
+            )
 
         # Convexity; plus the SOS2 adjacency system for binary cells (concave
         # utilities make the plain lambda relaxation exact, so their cells
         # carry no binaries).
-        for v in cells:
-            m = utilities[v].n_segments
-            lam_idx = list(range(lam_offset[v], lam_offset[v] + m + 1))
-            add_row(lam_idx, [1.0] * (m + 1), 1.0, 1.0)
-            if v not in binary_set:
+        z_next = z_start
+        for row in range(n_cells):
+            lam_idx = lam_start[row] + np.arange(n_points)
+            add_row(lam_idx, np.ones(n_points), 1.0, 1.0)
+            if not binary[row]:
                 continue
-            z_idx = list(range(z_offset[v], z_offset[v] + m))
+            z_idx = list(range(z_next, z_next + m))
+            z_next += m
             add_row(z_idx, [1.0] * m, 1.0, 1.0)
             for j in range(m + 1):
-                adjacent = []
-                if j > 0:
-                    adjacent.append(z_idx[j - 1])
-                if j < m:
-                    adjacent.append(z_idx[j])
+                # lambda_j may be positive only beside a selected segment.
+                adjacent = z_idx[max(j - 1, 0) : j + 1]
                 add_row(
                     [lam_idx[j]] + adjacent,
                     [1.0] + [-1.0] * len(adjacent),
@@ -383,21 +345,17 @@ class PatrolMILP:
 
         matrix = sparse.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(row_id, n_vars),
+            shape=(len(lbs), n_vars),
         ).tocsc()
 
         integrality = np.zeros(n_vars)
-        for v, z0 in z_offset.items():
-            integrality[z0 : z0 + utilities[v].n_segments] = 1
+        integrality[z_start:] = 1
 
         structure = MILPStructure(
             matrix=matrix,
             row_lb=np.asarray(lbs),
             row_ub=np.asarray(ubs),
             integrality=integrality,
-            cells=cells,
-            visit_edges=visit_edges,
-            lam_offset=lam_offset,
             n_vars=n_vars,
             lp_mode=lp_mode,
             binary_cells=binary_key,
@@ -410,14 +368,15 @@ class PatrolMILP:
         return structure
 
     def objective_vector(
-        self, structure: MILPStructure, utilities: dict[int, PiecewiseLinear]
+        self,
+        structure: MILPStructure,
+        utilities: dict[int, PiecewiseLinear] | StackedPWL,
     ) -> np.ndarray:
         """Minimisation objective (−utility) for a cached structure."""
+        ys = self._stack(utilities).ys
         objective = np.zeros(structure.n_vars)
-        for v in structure.cells:
-            ys = utilities[v].ys
-            off = structure.lam_offset[v]
-            objective[off : off + ys.size] = -ys  # maximise
+        start = self.graph.n_edges
+        objective[start : start + ys.size] = -ys.ravel()  # maximise
         return objective
 
     # ------------------------------------------------------------------
@@ -430,14 +389,18 @@ class PatrolMILP:
     _OFFENDER_TOL = 1e-9
 
     def solve(
-        self, utilities: dict[int, PiecewiseLinear], mode: str = "auto"
+        self,
+        utilities: dict[int, PiecewiseLinear] | StackedPWL,
+        mode: str = "auto",
     ) -> MILPSolution:
         """Maximise total PWL utility over the flow polytope (HiGHS).
 
         Parameters
         ----------
         utilities:
-            Per-reachable-cell PWL utility functions.
+            One PWL utility per reachable cell: a ``{cell: function}`` dict
+            (every function with the same number of breakpoints) or the
+            same functions stacked (what :class:`PatrolPlanner` passes).
         mode:
             ``"auto"`` (default) takes the LP fast path when every utility
             is concave, the certified envelope path when some are not (see
@@ -450,9 +413,10 @@ class PatrolMILP:
             raise ConfigurationError(
                 f"mode must be one of {SOLVER_MODES}, got '{mode}'"
             )
+        utilities = self._stack(utilities)
         if mode == "milp":
             return self._solve_model(utilities, utilities, lp_mode=False)
-        all_concave = all(pwl.is_concave() for pwl in utilities.values())
+        all_concave = bool(utilities.is_concave().all())
         if mode == "lp" and not all_concave:
             raise ConfigurationError(
                 "mode='lp' requires every utility to be concave (the lambda "
@@ -463,9 +427,7 @@ class PatrolMILP:
             return self._solve_model(utilities, utilities, lp_mode=True)
         return self._solve_enveloped(utilities)
 
-    def _solve_enveloped(
-        self, utilities: dict[int, PiecewiseLinear]
-    ) -> MILPSolution:
+    def _solve_enveloped(self, utilities: StackedPWL) -> MILPSolution:
         """Certified envelope fast path for non-concave utilities.
 
         Solves against the least concave majorants (pure LP first, then with
@@ -474,53 +436,48 @@ class PatrolMILP:
         utility of the returned coverage within ``mip_gap``. Falls back to
         the full MILP when the certificate keeps failing.
         """
-        envelopes = {
-            v: pwl if pwl.is_concave() else pwl.concave_envelope()
-            for v, pwl in utilities.items()
-        }
+        envelopes = utilities.concave_envelope()
         accept_tol = max(self.mip_gap, self.envelope_gap)
-        binary: set[int] = set()
+        cells = utilities.cells
+        binary = np.zeros(cells.size, dtype=bool)
         for _ in range(self.MAX_ENVELOPE_ROUNDS):
-            if binary:
-                relaxed = {
-                    v: utilities[v] if v in binary else envelopes[v]
-                    for v in utilities
-                }
+            if binary.any():
+                relaxed = StackedPWL(
+                    cells, utilities.xs,
+                    np.where(binary[:, None], utilities.ys, envelopes.ys),
+                )
                 solution = self._solve_model(
                     relaxed, utilities, lp_mode=False,
-                    binary_cells=tuple(sorted(binary)), method="milp-partial",
+                    binary_cells=tuple(cells[binary].tolist()),
+                    method="milp-partial",
                 )
             else:
                 solution = self._solve_model(
                     envelopes, utilities, lp_mode=True, method="lp-envelope"
                 )
             upper = solution.objective_value
-            true_value = sum(
-                float(utilities[v](solution.coverage[v])) for v in utilities
-            )
+            coverage = solution.coverage[cells]
+            values = utilities(coverage)
+            # Sequential, in cell order, so reported values stay bit-stable.
+            true_value = sum(values.tolist())
             if upper - true_value <= accept_tol * max(1.0, abs(upper)):
                 solution.objective_value = true_value
                 solution.bound_gap = max(0.0, upper - true_value) / max(
                     1.0, abs(upper)
                 )
                 return solution
-            offenders = [
-                v
-                for v in utilities
-                if v not in binary
-                and float(envelopes[v](solution.coverage[v]))
-                - float(utilities[v](solution.coverage[v]))
-                > self._OFFENDER_TOL
-            ]
-            if not offenders:
+            offenders = ~binary & (
+                envelopes(coverage) - values > self._OFFENDER_TOL
+            )
+            if not offenders.any():
                 break
-            binary.update(offenders)
+            binary |= offenders
         return self._solve_model(utilities, utilities, lp_mode=False)
 
     def _solve_model(
         self,
-        objective_utilities: dict[int, PiecewiseLinear],
-        domain_utilities: dict[int, PiecewiseLinear],
+        objective_utilities: StackedPWL,
+        domain_utilities: StackedPWL,
         lp_mode: bool,
         binary_cells: tuple[int, ...] | None = None,
         method: str | None = None,
@@ -548,7 +505,6 @@ class PatrolMILP:
         if result.x is None:
             raise PlanningError(f"MILP solve failed: {result.message}")
         solution = self.extract_solution(
-            structure,
             result.x,
             float(-result.fun),
             str(result.message),
@@ -562,23 +518,21 @@ class PatrolMILP:
 
     def extract_solution(
         self,
-        structure: MILPStructure,
         x: np.ndarray,
         objective_value: float,
         status: str,
         method: str = "milp",
     ) -> MILPSolution:
         """Turn a raw variable vector into coverage and flows."""
-        n_edges = self.graph.n_edges
-        flows = np.asarray(x[:n_edges], dtype=float)
-        coverage = np.zeros(self.graph.grid.n_cells)
-        K = float(self.n_patrols)
-        for v in structure.cells:
-            edge_idx = structure.visit_edges.get(v, [])
-            inflow = float(flows[edge_idx].sum()) if edge_idx else 0.0
-            if v == self.graph.source_cell:
-                inflow += 1.0
-            coverage[v] = K * inflow
+        graph = self.graph
+        flows = np.asarray(x[: graph.n_edges], dtype=float)
+        cells = graph.reachable_cells
+        inflow = np.array(
+            [flows[edges].sum() for edges in graph.cell_visit_edges().values()]
+        )
+        inflow[np.searchsorted(cells, graph.source_cell)] += 1.0
+        coverage = np.zeros(graph.grid.n_cells)
+        coverage[cells] = float(self.n_patrols) * inflow
         return MILPSolution(
             objective_value=objective_value,
             coverage=coverage,

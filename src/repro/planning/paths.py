@@ -77,25 +77,25 @@ def decompose_flow_into_routes(
     out_edges, __ = graph.incidence_lists()
     edges = graph.edges
     nodes = graph.nodes
-    source_out = out_edges[graph.source_node]
-    if not source_out:
+    source, sink = graph.source_node, graph.sink_node
+    source_out = out_edges[source]
+    if not source_out.size:
         raise PlanningError("source node has no outgoing edges")
     routes: list[PatrolRoute] = []
     for __ in range(2 * graph.n_edges + 1):
         if float(residual[source_out].sum()) <= _MASS_EPS:
             break
-        node = graph.source_node
+        node = source
         path_nodes = [node]
         path_edges: list[int] = []
         dead_end = False
-        while node != graph.sink_node:
+        while node != sink:
             candidates = out_edges[node]
-            flows_here = residual[candidates] if candidates else np.empty(0)
+            flows_here = residual[candidates]
             if flows_here.size == 0 or float(flows_here.max()) <= 0.0:
                 dead_end = True
                 break
-            best = int(np.argmax(flows_here))
-            e = candidates[best]
+            e = int(candidates[int(np.argmax(flows_here))])
             path_edges.append(e)
             node = int(edges[e, 1])
             path_nodes.append(node)

@@ -17,7 +17,7 @@ from repro.geo.grid import Grid
 from repro.planning.graph import TimeUnrolledGraph
 from repro.planning.milp import MILPSolution, PatrolMILP, SOLVER_MODES
 from repro.planning.paths import PatrolRoute, decompose_flow_into_routes
-from repro.planning.pwl import PiecewiseLinear, pwl_from_samples, sample_breakpoints
+from repro.planning.pwl import StackedPWL, sample_breakpoints
 from repro.planning.robust import RobustObjective
 
 
@@ -126,25 +126,22 @@ class PatrolPlanner:
         return self.breakpoints_for(self.horizon, self.n_patrols, self.n_segments)
 
     def _utilities_from_objective(
-        self,
-        objective: RobustObjective,
-        beta: float | None,
-        source_functions: list[PiecewiseLinear] | None = None,
-    ) -> dict[int, PiecewiseLinear]:
-        """Resample the robust objective onto the planner breakpoints."""
+        self, objective: RobustObjective, beta: float | None
+    ) -> StackedPWL:
+        """The robust objective's rows for the reachable cells, resampled
+        onto the planner breakpoints (as a PWL call on each row would)."""
         if objective.n_cells != self.grid.n_cells:
             raise ConfigurationError(
                 f"objective covers {objective.n_cells} cells, park has "
                 f"{self.grid.n_cells}"
             )
         xs = self.breakpoints()
-        if source_functions is None:
-            source_functions = objective.utility_functions(beta)
-        utilities: dict[int, PiecewiseLinear] = {}
-        for v in self.graph.reachable_cells:
-            f = source_functions[int(v)]
-            utilities[int(v)] = PiecewiseLinear(xs, np.asarray(f(xs)))
-        return utilities
+        grid = objective.effort_grid
+        cells = self.graph.reachable_cells
+        at = np.clip(xs, grid[0], grid[-1])
+        samples = objective.utility_samples(beta)[cells]
+        ys = np.array([np.interp(at, grid, row) for row in samples])
+        return StackedPWL(cells, np.broadcast_to(xs, ys.shape), ys)
 
     def plan_from_model(
         self, model, features: np.ndarray, beta: float = 0.8
@@ -165,10 +162,7 @@ class PatrolPlanner:
         return self.plan(objective)
 
     def plan(
-        self,
-        objective: RobustObjective,
-        beta: float | None = None,
-        source_functions: list[PiecewiseLinear] | None = None,
+        self, objective: RobustObjective, beta: float | None = None
     ) -> PatrolPlan:
         """Solve problem (P) under the (robust) objective.
 
@@ -178,16 +172,9 @@ class PatrolPlanner:
             Per-cell sampled risk and uncertainty surfaces.
         beta:
             Override the objective's robustness weight for this solve.
-        source_functions:
-            Pre-built ``objective.utility_functions(beta)`` output (must
-            match ``beta``). Lets a multi-post service compute the
-            full-park functions once and share them across planners
-            instead of rebuilding them per post.
         """
         effective_beta = objective.beta if beta is None else beta
-        utilities = self._utilities_from_objective(
-            objective, effective_beta, source_functions
-        )
+        utilities = self._utilities_from_objective(objective, effective_beta)
         solution = self._milp.solve(utilities, mode=self.solver_mode)
         routes = decompose_flow_into_routes(self.graph, solution.edge_flows)
         return PatrolPlan(

@@ -69,9 +69,7 @@ class PiecewiseLinear:
         slopes — an absolute test misfires on steep functions whose benign
         noise exceeds it.
         """
-        slopes = np.diff(self.ys) / np.diff(self.xs)
-        scale = max(1.0, float(np.abs(slopes).max()))
-        return bool((np.diff(slopes) <= tol * scale).all())
+        return bool(concave_rows(self.xs, self.ys, tol))
 
     def concave_envelope(self) -> "PiecewiseLinear":
         """Least concave majorant of this function on the same breakpoints.
@@ -82,23 +80,93 @@ class PiecewiseLinear:
         envelope fast path relaxes non-concave utilities to (see
         :class:`~repro.planning.milp.PatrolMILP`).
         """
-        xs, ys = self.xs, self.ys
+        envelope = concave_envelopes(self.xs[None], self.ys[None])[0]
+        return PiecewiseLinear(self.xs, envelope)
+
+
+class StackedPWL:
+    """One PWL function per cell, as ``(n_cells, n_breakpoints)`` arrays.
+
+    Row ``i`` of ``xs`` and ``ys`` is the function of ``cells[i]`` (ids
+    strictly increasing). The planner resamples a post's utilities into this
+    form and :class:`~repro.planning.milp.PatrolMILP` works on it, so each
+    per-cell question (domain, concavity, value at a coverage) is one array
+    operation or one loop over plain rows.
+    """
+
+    def __init__(self, cells: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+        cells = np.asarray(cells)
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        if xs.ndim != 2 or xs.shape != ys.shape or cells.shape != xs.shape[:1]:
+            raise ConfigurationError("need one (xs, ys) row per cell")
+        if xs.shape[1] < 2 or (np.diff(xs) <= 0).any():
+            raise ConfigurationError(
+                "each row needs >= 2 strictly increasing breakpoints"
+            )
+        if (np.diff(cells) <= 0).any():
+            raise ConfigurationError("cell ids must be strictly increasing")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ConfigurationError("breakpoints must be finite")
+        self.cells, self.xs, self.ys = cells, xs, ys
+
+    @classmethod
+    def from_dict(cls, functions: dict[int, PiecewiseLinear]) -> "StackedPWL":
+        """Stack ``{cell: function}``; every function needs as many
+        breakpoints as the others."""
+        cells = sorted(functions)
+        if len({functions[v].xs.size for v in cells}) > 1:
+            raise ConfigurationError(
+                "every cell's PWL needs the same breakpoint count"
+            )
+        return cls(
+            np.array(cells, dtype=int),
+            np.stack([functions[v].xs for v in cells]),
+            np.stack([functions[v].ys for v in cells]),
+        )
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Row ``i`` at ``x[i]``, flat outside its range (as a PWL call)."""
+        x = np.clip(x, self.xs[:, 0], self.xs[:, -1])
+        return np.array([np.interp(*row) for row in zip(x, self.xs, self.ys)])
+
+    def is_concave(self, tol: float = 1e-9) -> np.ndarray:
+        """Per-row :meth:`PiecewiseLinear.is_concave`."""
+        return concave_rows(self.xs, self.ys, tol)
+
+    def concave_envelope(self) -> "StackedPWL":
+        """Non-concave rows replaced by their least concave majorants."""
+        bent = ~self.is_concave()
+        ys = self.ys.copy()
+        ys[bent] = concave_envelopes(self.xs[bent], self.ys[bent])
+        return StackedPWL(self.cells, self.xs, ys)
+
+
+def concave_rows(
+    xs: np.ndarray, ys: np.ndarray, tol: float = 1e-9
+) -> np.ndarray:
+    """Whether each row's segment slopes are nonincreasing (last axis)."""
+    slopes = np.diff(ys) / np.diff(xs)
+    scale = np.maximum(1.0, np.abs(slopes).max(axis=-1, keepdims=True))
+    return (np.diff(slopes) <= tol * scale).all(axis=-1)
+
+
+def concave_envelopes(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Each row's upper concave hull, evaluated back at its breakpoints."""
+    envelopes = np.empty_like(ys)
+    for row, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
         hull: list[int] = []
-        for i in range(xs.size):
+        for i in range(len(x)):
             # Drop hull points that fall below the chord to the new point.
             while len(hull) >= 2:
                 i0, i1 = hull[-2], hull[-1]
-                cross = (xs[i1] - xs[i0]) * (ys[i] - ys[i0]) - (
-                    ys[i1] - ys[i0]
-                ) * (xs[i] - xs[i0])
-                if cross >= 0:
-                    hull.pop()
-                else:
+                dx, dy = x[i1] - x[i0], y[i1] - y[i0]
+                if not dx * (y[i] - y[i0]) - dy * (x[i] - x[i0]) >= 0:
                     break
+                hull.pop()
             hull.append(i)
-        env = np.interp(xs, xs[hull], ys[hull])
-        # Guarantee the majorant property against interpolation rounding.
-        return PiecewiseLinear(xs, np.maximum(env, ys))
+        envelopes[row] = np.interp(xs[row], xs[row, hull], ys[row, hull])
+    # Guarantee the majorant property against interpolation rounding.
+    return np.maximum(envelopes, ys)
 
 
 def sample_breakpoints(

@@ -256,15 +256,9 @@ class PlanService:
         with deadline_scope(deadline), collect_stats() as stats:
             try:
                 objective = self.objective_for(features, beta)
-                # The full-park utility functions are identical for every
-                # post, so they are built once here (phase 1) rather than
-                # once per thread.
-                source_functions = objective.utility_functions(beta)
                 workers = self.n_jobs if n_jobs is None else n_jobs
                 plans = parallel_map(
-                    lambda planner: planner.plan(
-                        objective, beta=beta, source_functions=source_functions
-                    ),
+                    lambda planner: planner.plan(objective, beta=beta),
                     planners,
                     n_jobs=workers,
                 )

@@ -176,8 +176,8 @@ def test_milp_flow_conservation_property(seed, height, width, horizon, n_patrols
     for node in range(graph.n_nodes):
         if node in (src, snk):
             continue
-        inflow = flows[in_edges[node]].sum() if in_edges[node] else 0.0
-        outflow = flows[out_edges[node]].sum() if out_edges[node] else 0.0
+        inflow = flows[in_edges[node]].sum()
+        outflow = flows[out_edges[node]].sum()
         assert inflow == pytest.approx(outflow, abs=1e-6)
     assert solution.coverage.sum() == pytest.approx(
         horizon * n_patrols, rel=1e-6

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, PlanningError
 from repro.geo import Grid
-from repro.planning import PiecewiseLinear, TimeUnrolledGraph, sample_breakpoints
+from repro.planning import (
+    PatrolPlanner,
+    PiecewiseLinear,
+    RobustObjective,
+    TimeUnrolledGraph,
+    sample_breakpoints,
+)
 from repro.planning.pwl import pwl_from_samples
 
 
@@ -66,6 +72,40 @@ class TestTimeUnrolledGraph:
         g = TimeUnrolledGraph(Grid.rectangular(4, 4), source_cell=5, horizon=6)
         visit = g.cell_visit_edges()
         assert sum(len(v) for v in visit.values()) == g.n_edges
+
+    def test_shared_lookups_are_read_only(self):
+        """Concurrent plans of a post read one set of graph lookups, so no
+        caller may write through one into a later plan."""
+        grid = Grid.rectangular(4, 4)
+        planner = PatrolPlanner(grid, 5, horizon=5, n_patrols=2, n_segments=4)
+        rng = np.random.default_rng(0)
+        shape = (grid.n_cells, planner.breakpoints().size)
+        objective = RobustObjective(
+            planner.breakpoints(), np.sort(rng.random(shape), axis=1),
+            rng.random(shape), beta=0.5,
+        )
+        before = planner.plan(objective)
+        g = planner.graph
+        out_edges, in_edges = g.incidence_lists()
+        visit = g.cell_visit_edges()
+        cell = int(g.reachable_cells[0])
+        groups = (out_edges[g.source_node], in_edges[g.sink_node], visit[cell])
+        for lookup in (g.reachable_cells, g.edges, *groups):
+            with pytest.raises(ValueError, match="read-only"):
+                lookup[0] = 0
+        for group in groups:  # views of one shared, read-only edge order
+            with pytest.raises(ValueError, match="read-only"):
+                group.base[0] = 0
+        with pytest.raises(TypeError):
+            out_edges[g.source_node] = np.arange(3)
+        with pytest.raises(TypeError):
+            visit[cell] = np.arange(3)
+        after = planner.plan(objective)
+        assert after.objective_value == before.objective_value
+        np.testing.assert_array_equal(after.coverage, before.coverage)
+        assert [(r.cells, r.weight) for r in after.routes] == [
+            (r.cells, r.weight) for r in before.routes
+        ]
 
     def test_odd_even_parity(self):
         """A cell at odd distance from the post only has odd-time copies."""

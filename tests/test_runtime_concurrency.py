@@ -226,7 +226,7 @@ class TestMilpStructureHammer:
         post = int(data.park.patrol_posts[0])
         planner = service.planner_for(post)
         objective = service.objective_for(features, beta=0.5)
-        utilities = planner._utilities_from_objective(objective, 0.5, None)
+        utilities = planner._utilities_from_objective(objective, 0.5)
         milp = planner._milp
 
         structures = run_threads(
